@@ -200,25 +200,6 @@ def _streams_and_window(alphas, p, window_factor=1):
     return streams, longest + period * window_factor
 
 
-def adds_without_carrying(alphas, p, window_factor=1):
-    """True when at every digit position the digits of the given
-    rationals sum to at most p - 1.
-
-    The joint digit sequence is eventually periodic, so scanning one
-    full window (max preperiod plus the lcm of the period lengths)
-    decides every position.  ``window_factor`` scans that many extra
-    periods; the answer must not depend on it.
-    """
-    _check_base(p)
-    if window_factor < 1:
-        raise InputError("window_factor must be at least 1")
-    streams, window = _streams_and_window(alphas, p, window_factor)
-    for k in range(1, window + 1):
-        if sum(s.digit(k) for s in streams) > p - 1:
-            return False
-    return True
-
-
 def carry_horizon(block, p, window_factor=1):
     """CarryHorizon of one block: the largest S such that the digit sums
     stay <= p - 1 at every level 1..S (level 0 never violates).  If no
@@ -231,6 +212,18 @@ def carry_horizon(block, p, window_factor=1):
         if sum(s.digit(k) for s in streams) > p - 1:
             return CarryHorizon(k - 1)
     return CarryHorizon(INFINITY)
+
+
+def adds_without_carrying(alphas, p, window_factor=1):
+    """True when at every digit position the digits of the given
+    rationals sum to at most p - 1.
+
+    The joint digit sequence is eventually periodic, so scanning one
+    full window (max preperiod plus the lcm of the period lengths)
+    decides every position.  ``window_factor`` scans that many extra
+    periods; the answer must not depend on it.
+    """
+    return not carry_horizon(alphas, p, window_factor).finite
 
 
 def multinomial_nonzero_mod_p(total, parts, p):
@@ -249,12 +242,11 @@ def multinomial_nonzero_mod_p(total, parts, p):
     return True
 
 
-def in_P_rho_0(blocks, p, window_factor=1):
+def in_P_rho_0(blocks, p):
     """First-digit criterion: every block's first digits sum to at
     least p.  Each block must have coordinate sum exceeding 1, which
     guarantees membership for all large p."""
     _check_base(p)
-    del window_factor  # only the first digit matters; kept for symmetry
     results = []
     for block in blocks:
         entries = [_as_fraction(x) for x in block]

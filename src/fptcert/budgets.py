@@ -74,3 +74,9 @@ class Meter:
                 "term-operation budget exhausted (%d > %d)"
                 % (self.term_ops, self.budgets.max_terms)
             )
+
+    def mul(self, a, b):
+        """The product a * b, charged as len(a.terms) * len(b.terms)
+        term operations before it is formed."""
+        self.charge_terms(len(a.terms) * len(b.terms))
+        return a * b

@@ -15,8 +15,10 @@ default.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .basep import carry_horizon, digits
@@ -35,7 +37,7 @@ from .thresholds import (
     verify_prime,
 )
 
-_BUDGET_FIELDS = ("max_multisets", "max_terms", "max_dimension")
+_BUDGET_FIELDS = tuple(field.name for field in fields(Budgets))
 
 
 def _decimal6(value):
@@ -60,54 +62,32 @@ def _load_job(path):
     return job
 
 
-def _resolve(args, job, key):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if job is not None and key in job:
-        return job[key]
-    return None
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
-def _require(value, flag):
-    if value is None:
-        raise InputError("missing required input %s" % flag)
-    return value
-
-
-def _norm_names(value):
+def _norm_strings(value, flag, key):
     if isinstance(value, str):
         parts = [s.strip() for s in value.split(",")]
     elif isinstance(value, list) and all(isinstance(s, str) for s in value):
         parts = [s.strip() for s in value]
     else:
-        raise InputError("variables must be a comma-separated string or a list")
+        raise InputError("%s must be a comma-separated string or a list" % key)
     if not parts or any(not s for s in parts):
-        raise InputError("variable list has an empty entry")
+        raise InputError("%s list has an empty entry" % key)
     return parts
 
 
-def _norm_poly_strings(value, what):
-    if isinstance(value, str):
-        parts = [s.strip() for s in value.split(",")]
-    elif isinstance(value, list) and all(isinstance(s, str) for s in value):
-        parts = [s.strip() for s in value]
-    else:
-        raise InputError("%s must be a comma-separated string or a list" % what)
-    if not parts or any(not s for s in parts):
-        raise InputError("%s list has an empty entry" % what)
-    return parts
-
-
-def _norm_ideals(value):
+def _norm_ideals(value, flag, key):
     if isinstance(value, str):
         groups = [s.strip() for s in value.split(";")]
         if not groups or any(not s for s in groups):
             raise InputError("ideal list has an empty entry")
-        return [_norm_poly_strings(group, "ideal generators") for group in groups]
-    if isinstance(value, list):
-        return [_norm_poly_strings(group, "ideal generators") for group in value]
-    raise InputError("ideals must be ';'-separated groups or a list of lists")
+    elif isinstance(value, list):
+        groups = value
+    else:
+        raise InputError("ideals must be ';'-separated groups or a list of lists")
+    return [_norm_strings(group, flag, "ideal generators") for group in groups]
 
 
 def _norm_int(value, name):
@@ -116,19 +96,72 @@ def _norm_int(value, name):
     return value
 
 
-def _norm_fraction(value, name):
+def _norm_fraction(value, flag, key=None):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InputError("%s must be a rational number" % name)
+        raise InputError("%s must be a rational number" % flag)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("%s is not a rational number: %s" % (name, exc))
-    raise InputError("%s must be a rational number" % name)
+            raise InputError("%s is not a rational number: %s" % (flag, exc))
+    raise InputError("%s must be a rational number" % flag)
+
+
+def _norm_fractions(value, flag, key):
+    if isinstance(value, str):
+        parts = [s.strip() for s in value.split(",")]
+    elif isinstance(value, list):
+        parts = value
+    else:
+        raise InputError("%s must be a comma-separated string or a list" % flag)
+    if not parts:
+        raise InputError("%s is empty" % flag)
+    return [_norm_fraction(part, flag) for part in parts]
+
+
+def _at_least(minimum):
+    def norm(value, flag, key):
+        value = _norm_int(value, flag)
+        if value < minimum:
+            raise InputError("%s must be at least %d" % (flag, minimum))
+        return value
+
+    return norm
+
+
+# One input: its key in the input echo, its argparse help and type, its
+# normalizer norm(value, flag, key), and its value when absent (None makes
+# absence an error).  The job file uses the flag name as its key.
+_Flag = namedtuple("_Flag", "key help type norm default", defaults=(None,))
+
+_FLAGS = {
+    "vars": _Flag("variables", "comma-separated variable names", str, _norm_strings),
+    "gens": _Flag(
+        "generators", "comma-separated polynomial generators", str, _norm_strings
+    ),
+    "ideals": _Flag(
+        "ideals",
+        "';'-separated ideals, each a comma-separated list",
+        str,
+        _norm_ideals,
+    ),
+    "p": _Flag("p", "prime characteristic", int, _at_least(2)),
+    "e": _Flag("e", "Frobenius exponent", int, _at_least(1)),
+    "e_max": _Flag("e_max", "largest exponent", int, _at_least(1)),
+    "alpha": _Flag("alpha", "rational in (0, 1]", str, _norm_fraction),
+    "block": _Flag("block", "comma-separated rationals", str, _norm_fractions),
+    "count": _Flag("count", "digits to print (default 12)", int, _at_least(1), 12),
+    "counts_e_max": _Flag(
+        "counts_e_max",
+        "also run the brute-force counter up to this exponent",
+        int,
+        _at_least(1),
+    ),
+}
 
 
 def _resolve_budgets(args, job):
@@ -143,324 +176,197 @@ def _resolve_budgets(args, job):
                 raise InputError("unknown budget %r in job file" % key)
     overrides = {}
     for field in _BUDGET_FIELDS:
-        value = getattr(args, field, None)
-        if value is None and field in job_budgets:
-            value = job_budgets[field]
+        value = getattr(args, field)
+        if value is None:
+            value = job_budgets.get(field)
         if value is None:
             continue
         value = _norm_int(value, field)
         if value <= 0:
             raise InputError("%s must be positive" % field)
         overrides[field] = value
-    return replace(budgets, **overrides) if overrides else budgets
+    return replace(budgets, **overrides)
 
 
-class _Request:
-    """Inputs of one subcommand after merging flags and job file."""
-
-    def __init__(self, args):
-        self.args = args
-        self.job = _load_job(args.job) if getattr(args, "job", None) else None
-        if self.job is not None and "command" in self.job:
-            if self.job["command"] != args.command:
-                raise InputError(
-                    "job file is for command %r, invoked as %r"
-                    % (self.job["command"], args.command)
-                )
-        self.budgets = _resolve_budgets(args, self.job)
-
-    def get(self, key):
-        return _resolve(self.args, self.job, key)
-
-    def names(self):
-        return _norm_names(_require(self.get("vars"), "--vars"))
-
-    def generator_strings(self):
-        return _norm_poly_strings(
-            _require(self.get("gens"), "--gens"), "generators"
-        )
-
-    def generators(self, variables):
-        return [parse_polynomial(s, variables) for s in self.generator_strings()]
-
-    def ideal_strings(self):
-        return _norm_ideals(_require(self.get("ideals"), "--ideals"))
-
-    def ideal_generators(self, variables):
-        return [
-            [parse_polynomial(s, variables) for s in group]
-            for group in self.ideal_strings()
-        ]
-
-    def integer(self, key, flag, required=True, minimum=None):
-        value = self.get(key)
-        if value is None:
-            if required:
-                raise InputError("missing required input %s" % flag)
-            return None
-        value = _norm_int(value, flag)
-        if minimum is not None and value < minimum:
-            raise InputError("%s must be at least %d" % (flag, minimum))
-        return value
-
-    def fraction(self, key, flag):
-        return _norm_fraction(_require(self.get(key), flag), flag)
-
-    def fraction_list(self, key, flag):
-        value = _require(self.get(key), flag)
-        if isinstance(value, str):
-            parts = [s.strip() for s in value.split(",")]
-        elif isinstance(value, list):
-            parts = value
+def _resolve_inputs(args, job, flags):
+    """Normalized inputs keyed as in the input echo, in ``flags`` order;
+    flags win over the job file.  An optional flag resolves to its
+    default (None unless the flag table gives one) when absent."""
+    values = {}
+    for name, optional in flags:
+        spec = _FLAGS[name]
+        value = getattr(args, name)
+        if value is None and job is not None:
+            value = job.get(name)
+        if value is not None:
+            value = spec.norm(value, _flag(name), spec.key)
+        elif spec.default is None and not optional:
+            raise InputError("missing required input %s" % _flag(name))
         else:
-            raise InputError("%s must be a comma-separated string or a list" % flag)
-        if not parts:
-            raise InputError("%s is empty" % flag)
-        return [_norm_fraction(part, flag) for part in parts]
-
-    def budgets_json(self):
-        return {
-            "max_multisets": self.budgets.max_multisets,
-            "max_terms": self.budgets.max_terms,
-            "max_dimension": self.budgets.max_dimension,
-        }
+            value = spec.default
+        values[spec.key] = value
+    return values
 
 
-def _blocks_json(blocks):
-    return [[str(x) for x in block] for block in blocks]
+def _jsonable(value):
+    """JSON form of a value: rationals as strings, tuples as lists."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return str(value) if isinstance(value, Fraction) else value
 
 
-def _cmd_polytope(req):
-    variables = req.names()
-    gen_strings = req.generator_strings()
-    p = req.integer("p", "--p", required=False, minimum=2)
-    gens = [parse_polynomial(s, variables) for s in gen_strings]
-    if p is not None:
-        gens = list(_to_fp_generators(gens, p))
-    mapping = reduce_generators(gens)
-    matrix = exponent_matrix(mapping)
+def _parse(texts, variables):
+    """Polynomials of a list (or a list of lists) of strings."""
+    return [
+        _parse(t, variables) if isinstance(t, list) else parse_polynomial(t, variables)
+        for t in texts
+    ]
+
+
+# Subcommand name -> (help, (flag name, optional) pairs in input-echo
+# order, handler).
+_COMMANDS = {}
+
+
+def _command(name, help_text, *flags):
+    """Register a subcommand handler with its help and its flags in
+    input-echo order; a trailing "?" makes a flag optional for it."""
+
+    def register(handler):
+        pairs = tuple((flag.rstrip("?"), flag.endswith("?")) for flag in flags)
+        _COMMANDS[name] = (help_text, pairs, handler)
+        return handler
+
+    return register
+
+
+def _rows_json(p, rows):
+    return {
+        "p": p,
+        "rows": [[e, n, str(ratio), _decimal6(ratio)] for e, n, ratio in rows],
+    }
+
+
+@_command("polytope", "splitting polytope: matrix, maximum, maximal point, vertices",
+          "vars", "gens", "p?")
+def _cmd_polytope(inp):
+    gens = _parse(inp.generators, inp.variables)
+    if inp.p is not None:
+        gens = _to_fp_generators(gens, inp.p)
+    matrix = exponent_matrix(reduce_generators(gens))
     cert = maximal_point(matrix)
     try:
-        vertex_list = [
-            [str(x) for x in v] for v in vertices(matrix, req.budgets)
-        ]
+        vertex_list = _jsonable(vertices(matrix, inp.budgets))
     except BudgetExceeded:
         vertex_list = None
-    result = {
-        "block_sizes": list(matrix.block_sizes),
-        "matrix": [list(row) for row in matrix.rows],
+    return {
+        "block_sizes": _jsonable(matrix.block_sizes),
+        "matrix": _jsonable(matrix.rows),
         "M": str(cert.M),
-        "rho": None if not cert.unique else _blocks_json(cert.blocks_of_rho),
+        "rho": _jsonable(cert.blocks_of_rho),
         "unique": cert.unique,
-        "coordinate_ranges": (
-            None
-            if cert.unique
-            else [[str(lo), str(hi)] for lo, hi in cert.coordinate_ranges]
-        ),
+        "coordinate_ranges": None if cert.unique else _jsonable(cert.coordinate_ranges),
         "vertices": vertex_list,
     }
-    inputs = {
-        "variables": variables,
-        "generators": gen_strings,
-        "p": p,
-        "budgets": req.budgets_json(),
-    }
-    return inputs, result
 
 
-def _cmd_digits(req):
-    alpha = req.fraction("alpha", "--alpha")
-    p = req.integer("p", "--p", minimum=2)
-    count = req.integer("count", "--count", required=False, minimum=1)
-    if count is None:
-        count = 12
-    stream = digits(alpha, p)
-    result = {
-        "alpha": str(alpha),
-        "p": p,
+@_command("digits", "nonterminating base-p digits of a rational", "alpha", "p", "count")
+def _cmd_digits(inp):
+    stream = digits(inp.alpha, inp.p)
+    return {
+        "alpha": str(inp.alpha),
+        "p": inp.p,
         "preperiod": list(stream.preperiod),
         "period": list(stream.period),
-        "prefix": list(stream.digits_prefix(count)),
+        "prefix": list(stream.digits_prefix(inp.count)),
     }
-    inputs = {
-        "alpha": str(alpha),
-        "p": p,
-        "count": count,
-        "budgets": req.budgets_json(),
+
+
+@_command("carry", "carry horizon of a block of rationals", "block", "p")
+def _cmd_carry(inp):
+    return {
+        "block": _jsonable(inp.block),
+        "p": inp.p,
+        "S": carry_horizon(inp.block, inp.p).to_json_value(),
     }
-    return inputs, result
 
 
-def _cmd_carry(req):
-    block = req.fraction_list("block", "--block")
-    p = req.integer("p", "--p", minimum=2)
-    horizon = carry_horizon(block, p)
-    result = {
-        "block": [str(x) for x in block],
-        "p": p,
-        "S": horizon.to_json_value(),
-    }
-    inputs = {
-        "block": [str(x) for x in block],
-        "p": p,
-        "budgets": req.budgets_json(),
-    }
-    return inputs, result
+@_command("fpt-bound", "threshold certificate (exact value or lower bound)",
+          "vars", "gens", "p")
+def _cmd_fpt_bound(inp):
+    return fpt_bound(_parse(inp.generators, inp.variables), inp.p).to_json_dict()
 
 
-def _poly_inputs(req, extra=()):
-    variables = req.names()
-    gen_strings = req.generator_strings()
-    gens = [parse_polynomial(s, variables) for s in gen_strings]
-    inputs = {"variables": variables, "generators": gen_strings}
-    for key, value in extra:
-        inputs[key] = value
-    inputs["budgets"] = req.budgets_json()
-    return gens, inputs
-
-
-def _cmd_fpt_bound(req):
-    p = req.integer("p", "--p", minimum=2)
-    gens, inputs = _poly_inputs(req, extra=(("p", p),))
-    cert = fpt_bound(gens, p, req.budgets)
-    return inputs, cert.to_json_dict()
-
-
-def _cmd_nu(req):
-    p = req.integer("p", "--p", minimum=2)
-    e = req.integer("e", "--e", minimum=1)
-    gens, inputs = _poly_inputs(req, extra=(("p", p), ("e", e)))
-    fp_gens = _to_fp_generators(gens, p)
-    value = nu(fp_gens, e, req.budgets)
-    result = {
-        "p": p,
-        "e": e,
+@_command("nu", "brute-force Frobenius escape level", "vars", "gens", "p", "e")
+def _cmd_nu(inp):
+    gens = _to_fp_generators(_parse(inp.generators, inp.variables), inp.p)
+    value = nu(gens, inp.e, inp.budgets)
+    return {
+        "p": inp.p,
+        "e": inp.e,
         "nu": value,
-        "ratio": str(Fraction(value, p**e)),
+        "ratio": str(Fraction(value, inp.p**inp.e)),
     }
-    return inputs, result
 
 
-def _cmd_fpt_estimate(req):
-    p = req.integer("p", "--p", minimum=2)
-    e_max = req.integer("e_max", "--e-max", minimum=1)
-    gens, inputs = _poly_inputs(req, extra=(("p", p), ("e_max", e_max)))
-    rows = fpt_estimate(gens, p, e_max, req.budgets)
-    result = {
-        "p": p,
-        "rows": [
-            [e, value, str(ratio), _decimal6(ratio)] for e, value, ratio in rows
-        ],
-    }
-    return inputs, result
+@_command("fpt-estimate", "nu(p^e)/p^e for e = 1..e_max", "vars", "gens", "p", "e_max")
+def _cmd_fpt_estimate(inp):
+    gens = _parse(inp.generators, inp.variables)
+    return _rows_json(inp.p, fpt_estimate(gens, inp.p, inp.e_max, inp.budgets))
 
 
-def _cmd_classify(req):
-    gens, inputs = _poly_inputs(req)
+@_command("classify", "compare the diagonal threshold with the generator count",
+          "vars", "gens")
+def _cmd_classify(inp):
+    return lct_fpt_classifier(_parse(inp.generators, inp.variables)).to_json_dict()
+
+
+@_command("verify-prime", "check a classifier verdict at one prime",
+          "vars", "gens", "p")
+def _cmd_verify_prime(inp):
+    gens = _parse(inp.generators, inp.variables)
     verdict = lct_fpt_classifier(gens)
-    return inputs, verdict.to_json_dict()
-
-
-def _cmd_verify_prime(req):
-    p = req.integer("p", "--p", minimum=2)
-    gens, inputs = _poly_inputs(req, extra=(("p", p),))
-    verdict = lct_fpt_classifier(gens)
-    check = verify_prime(gens, p, verdict)
-    verdict = verdict.with_checked(p, check.holds)
-    result = {
+    check = verify_prime(gens, inp.p, verdict)
+    verdict = verdict.with_checked(inp.p, check.holds)
+    return {
         "verdict": verdict.to_json_dict(),
         "check": check.to_json_dict(),
     }
-    return inputs, result
 
 
-def _cmd_fvol_bound(req):
-    p = req.integer("p", "--p", minimum=2)
-    counts_e_max = req.integer(
-        "counts_e_max", "--counts-e-max", required=False, minimum=1
-    )
-    gens, inputs = _poly_inputs(
-        req, extra=(("p", p), ("counts_e_max", counts_e_max))
-    )
-    cert = fvolume_lower_bound(gens, p, req.budgets)
-    if counts_e_max is not None:
-        rows = fvolume_estimate([[g] for g in gens], p, counts_e_max, req.budgets)
+@_command("fvol-bound", "volume lower bound for the principal ideals",
+          "vars", "gens", "p", "counts_e_max?")
+def _cmd_fvol_bound(inp):
+    gens = _parse(inp.generators, inp.variables)
+    cert = fvolume_lower_bound(gens, inp.p)
+    if inp.counts_e_max is not None:
+        ideals = [[g] for g in gens]
+        rows = fvolume_estimate(ideals, inp.p, inp.counts_e_max, inp.budgets)
         cert = replace(cert, counts=tuple(rows))
-    return inputs, cert.to_json_dict()
+    return cert.to_json_dict()
 
 
-def _ideal_inputs(req, extra=()):
-    variables = req.names()
-    ideal_strings = req.ideal_strings()
-    ideals = [
-        [parse_polynomial(s, variables) for s in group] for group in ideal_strings
-    ]
-    inputs = {"variables": variables, "ideals": ideal_strings}
-    for key, value in extra:
-        inputs[key] = value
-    inputs["budgets"] = req.budgets_json()
-    return ideals, inputs
+@_command("fvol-count", "brute-force escape-set cardinality",
+          "vars", "ideals", "p", "e")
+def _cmd_fvol_count(inp):
+    ideals = _parse(inp.ideals, inp.variables)
+    fp_ideals = [_to_fp_generators(group, inp.p) for group in ideals]
+    count = fvolume_count(fp_ideals, inp.e, inp.budgets)
+    return {"p": inp.p, "e": inp.e, "count": count}
 
 
-def _cmd_fvol_count(req):
-    p = req.integer("p", "--p", minimum=2)
-    e = req.integer("e", "--e", minimum=1)
-    ideals, inputs = _ideal_inputs(req, extra=(("p", p), ("e", e)))
-    fp_ideals = [_to_fp_generators(group, p) for group in ideals]
-    count = fvolume_count(fp_ideals, e, req.budgets)
-    result = {"p": p, "e": e, "count": count}
-    return inputs, result
+@_command("fvol-estimate", "normalized counts for e = 1..e_max",
+          "vars", "ideals", "p", "e_max")
+def _cmd_fvol_estimate(inp):
+    ideals = _parse(inp.ideals, inp.variables)
+    return _rows_json(inp.p, fvolume_estimate(ideals, inp.p, inp.e_max, inp.budgets))
 
 
-def _cmd_fvol_estimate(req):
-    p = req.integer("p", "--p", minimum=2)
-    e_max = req.integer("e_max", "--e-max", minimum=1)
-    ideals, inputs = _ideal_inputs(req, extra=(("p", p), ("e_max", e_max)))
-    rows = fvolume_estimate(ideals, p, e_max, req.budgets)
-    result = {
-        "p": p,
-        "rows": [
-            [e, count, str(ratio), _decimal6(ratio)] for e, count, ratio in rows
-        ],
-    }
-    return inputs, result
-
-
-def _cmd_witness(req):
-    p = req.integer("p", "--p", minimum=2)
-    e = req.integer("e", "--e", minimum=1)
-    gens, inputs = _poly_inputs(req, extra=(("p", p), ("e", e)))
-    report = coefficient_witness(gens, p, e, req.budgets)
-    return inputs, report.to_json_dict()
-
-
-_COMMANDS = {
-    "polytope": _cmd_polytope,
-    "digits": _cmd_digits,
-    "carry": _cmd_carry,
-    "fpt-bound": _cmd_fpt_bound,
-    "nu": _cmd_nu,
-    "fpt-estimate": _cmd_fpt_estimate,
-    "classify": _cmd_classify,
-    "verify-prime": _cmd_verify_prime,
-    "fvol-bound": _cmd_fvol_bound,
-    "fvol-count": _cmd_fvol_count,
-    "fvol-estimate": _cmd_fvol_estimate,
-    "witness": _cmd_witness,
-}
-
-
-def _add_common(parser):
-    parser.add_argument("--job", help="JSON job file; flags win on conflict")
-    parser.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default=None,
-        help="output format (default json)",
-    )
-    parser.add_argument("--max-multisets", type=int, default=None)
-    parser.add_argument("--max-terms", type=int, default=None)
-    parser.add_argument("--max-dimension", type=int, default=None)
+@_command("witness", "predicted vs expanded coefficient of the escape monomial",
+          "vars", "gens", "p", "e")
+def _cmd_witness(inp):
+    gens = _parse(inp.generators, inp.variables)
+    return coefficient_witness(gens, inp.p, inp.e, inp.budgets).to_json_dict()
 
 
 def _build_parser():
@@ -475,69 +381,20 @@ def _build_parser():
         "--version", action="version", version="fptcert %s" % __version__
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text, *flags):
-        cmd = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            if flag == "vars":
-                cmd.add_argument("--vars", help="comma-separated variable names")
-            elif flag == "gens":
-                cmd.add_argument(
-                    "--gens", help="comma-separated polynomial generators"
-                )
-            elif flag == "ideals":
-                cmd.add_argument(
-                    "--ideals",
-                    help="';'-separated ideals, each a comma-separated list",
-                )
-            elif flag == "p":
-                cmd.add_argument("--p", type=int, help="prime characteristic")
-            elif flag == "e":
-                cmd.add_argument("--e", type=int, help="Frobenius exponent")
-            elif flag == "e_max":
-                cmd.add_argument(
-                    "--e-max", dest="e_max", type=int, help="largest exponent"
-                )
-            elif flag == "alpha":
-                cmd.add_argument("--alpha", help="rational in (0, 1]")
-            elif flag == "block":
-                cmd.add_argument("--block", help="comma-separated rationals")
-            elif flag == "count":
-                cmd.add_argument(
-                    "--count", type=int, help="digits to print (default 12)"
-                )
-            elif flag == "counts_e_max":
-                cmd.add_argument(
-                    "--counts-e-max",
-                    dest="counts_e_max",
-                    type=int,
-                    help="also run the brute-force counter up to this exponent",
-                )
-        _add_common(cmd)
-        return cmd
-
-    add("polytope", "splitting polytope: matrix, maximum, maximal point, vertices",
-        "vars", "gens", "p")
-    add("digits", "nonterminating base-p digits of a rational", "alpha", "p",
-        "count")
-    add("carry", "carry horizon of a block of rationals", "block", "p")
-    add("fpt-bound", "threshold certificate (exact value or lower bound)",
-        "vars", "gens", "p")
-    add("nu", "brute-force Frobenius escape level", "vars", "gens", "p", "e")
-    add("fpt-estimate", "nu(p^e)/p^e for e = 1..e_max", "vars", "gens", "p",
-        "e_max")
-    add("classify", "compare the diagonal threshold with the generator count",
-        "vars", "gens")
-    add("verify-prime", "check a classifier verdict at one prime", "vars",
-        "gens", "p")
-    add("fvol-bound", "volume lower bound for the principal ideals", "vars",
-        "gens", "p", "counts_e_max")
-    add("fvol-count", "brute-force escape-set cardinality", "vars", "ideals",
-        "p", "e")
-    add("fvol-estimate", "normalized counts for e = 1..e_max", "vars", "ideals",
-        "p", "e_max")
-    add("witness", "predicted vs expanded coefficient of the escape monomial",
-        "vars", "gens", "p", "e")
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name, _ in flags:
+            spec = _FLAGS[name]
+            cmd.add_argument(_flag(name), type=spec.type, help=spec.help)
+        cmd.add_argument("--job", help="JSON job file; flags win on conflict")
+        cmd.add_argument(
+            "--format",
+            choices=("json", "text"),
+            default=None,
+            help="output format (default json)",
+        )
+        for field in _BUDGET_FIELDS:
+            cmd.add_argument(_flag(field), type=int, default=None)
     return parser
 
 
@@ -565,20 +422,26 @@ def _render_text(payload):
 
 
 def _run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    req = _Request(args)
-    handler = _COMMANDS[args.command]
-    inputs, result = handler(req)
+    args = _build_parser().parse_args(argv)
+    job = _load_job(args.job) if args.job else None
+    if job is not None and "command" in job and job["command"] != args.command:
+        raise InputError(
+            "job file is for command %r, invoked as %r" % (job["command"], args.command)
+        )
+    budgets = _resolve_budgets(args, job)
+    _, flags, handler = _COMMANDS[args.command]
+    values = _resolve_inputs(args, job, flags)
+    inputs = {key: _jsonable(value) for key, value in values.items()}
+    inputs["budgets"] = asdict(budgets)
     payload = {
         "command": args.command,
         "input": inputs,
-        "result": result,
+        "result": handler(SimpleNamespace(budgets=budgets, **values)),
         "version": __version__,
     }
     out_format = args.format
-    if out_format is None and req.job is not None:
-        job_format = req.job.get("format")
+    if out_format is None and job is not None:
+        job_format = job.get("format")
         if job_format is not None:
             if job_format not in ("json", "text"):
                 raise InputError("job format must be 'json' or 'text'")

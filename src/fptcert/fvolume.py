@@ -8,15 +8,22 @@ certified lower bound built from the same digit data as the threshold
 certificate, and a brute-force counter provides the oracle.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basep import carry_horizon, truncation
-from .budgets import Budgets, Meter
+from .basep import INFINITY
+from .budgets import Meter
 from .errors import FptcertError, InputError, RingMismatch
-from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
+from .geometry import (
+    _check_generators,
+    exponent_matrix,
+    maximal_point,
+    reduce_generators,
+    vertices,
+)
 from .polyring import IntegersMod, Polynomial, in_frobenius_power
-from .thresholds import _check_prime, _to_fp_generators, _unique_rho
+from .thresholds import _block_floors, _check_prime, _to_fp_generators, fpt_bound
 
 
 @dataclass(frozen=True)
@@ -39,63 +46,21 @@ class FVolumeCertificate:
         }
 
 
-def fvolume_lower_bound(generators, p, budgets=None):
+def fvolume_lower_bound(generators, p):
     """Lower bound for the volume of the tuple of principal ideals
     (f_1), ..., (f_t): the product over blocks of |rho_i| when the
     block adds without carrying, and |<rho_i>_{S_i}| + p**-S_i at a
-    finite carry horizon S_i."""
-    del budgets
-    _, _, cert = _unique_rho(generators, p)
-    rho_blocks = cert.blocks_of_rho
-    horizons = tuple(carry_horizon(block, p) for block in rho_blocks)
-    finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
-    bound = Fraction(1)
-    for i, block in enumerate(rho_blocks):
-        if i in finite_indices:
-            s = horizons[i].value
-            bound *= sum(truncation(a, p, s) for a in block) + Fraction(1, p**s)
-        else:
-            bound *= sum(block, Fraction(0))
+    finite carry horizon S_i.  These are the block floors at level
+    INFINITY whose sum is the threshold bound of ``fpt_bound``."""
+    cert = fpt_bound(generators, p)
     return FVolumeCertificate(
         p=p,
-        bound=bound,
-        rho_blocks=rho_blocks,
-        horizons=horizons,
-        finite_indices=finite_indices,
+        bound=math.prod(_block_floors(p, cert.rho_blocks, cert.horizons, INFINITY)),
+        rho_blocks=cert.rho_blocks,
+        horizons=cert.horizons,
+        finite_indices=cert.finite_indices,
         counts=(),
     )
-
-
-def _to_fp_ideals(ideals, p):
-    ideals = [tuple(gens) for gens in ideals]
-    if not ideals:
-        raise InputError("at least one ideal is required")
-    out = []
-    for i, gens in enumerate(ideals):
-        if not gens:
-            raise InputError("ideal %d has no generators" % i)
-        out.append(_to_fp_generators(gens, p))
-    varcount = out[0][0].varcount
-    for gens in out:
-        for g in gens:
-            if g.varcount != varcount:
-                raise RingMismatch("ideals live in different polynomial rings")
-    return tuple(out)
-
-
-def _ideal_ring_prime(ideals):
-    ring = None
-    for gens in ideals:
-        for g in gens:
-            if not isinstance(g, Polynomial):
-                raise InputError("ideal generators must be polynomials")
-            if ring is None:
-                ring = g.ring
-    if ring is None:
-        raise InputError("at least one generator is required")
-    if not isinstance(ring, IntegersMod):
-        raise RingMismatch("counting needs generators over GF(p)")
-    return ring.p
 
 
 class _IdealPowers:
@@ -116,10 +81,7 @@ class _IdealPowers:
             for last, poly in self.levels[-1]:
                 for j in range(last, len(self.gens)):
                     self.meter.charge_multisets()
-                    self.meter.charge_terms(
-                        len(poly.terms) * len(self.gens[j].terms)
-                    )
-                    nxt.append((j, poly * self.gens[j]))
+                    nxt.append((j, self.meter.mul(poly, self.gens[j])))
             self.levels.append(nxt)
         return self.levels[n]
 
@@ -132,28 +94,17 @@ def fvolume_points(ideals, e, budgets=None):
     generators, and the search asserts that the set is downward closed,
     which the containment order forces.
     """
-    p = _ideal_ring_prime(ideals)
-    _check_prime(p)
-    fp_ideals = []
-    for i, gens in enumerate(ideals):
-        gens = tuple(gens)
-        for g in gens:
-            if not isinstance(g.ring, IntegersMod) or g.ring.p != p:
-                raise RingMismatch("ideal %d mixes coefficient rings" % i)
-            if g.is_zero():
-                raise InputError("ideal %d has a zero generator" % i)
-            if (0,) * g.varcount in g.terms:
-                raise InputError("ideal %d is not inside the maximal ideal" % i)
-        fp_ideals.append(gens)
-    varcount = fp_ideals[0][0].varcount
-    for gens in fp_ideals:
-        for g in gens:
-            if g.varcount != varcount:
-                raise RingMismatch("ideals live in different polynomial rings")
+    fp_ideals = [tuple(gens) for gens in ideals]
+    if not all(fp_ideals):
+        raise InputError("every ideal needs at least one generator")
+    ring = _check_generators([g for gens in fp_ideals for g in gens])[0].ring
+    if not isinstance(ring, IntegersMod):
+        raise RingMismatch("counting needs generators over GF(p)")
+    _check_prime(ring.p)
     if not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
 
-    meter = Meter(budgets if budgets is not None else Budgets.from_env())
+    meter = Meter(budgets)
     t = len(fp_ideals)
     powers = [_IdealPowers(gens, meter) for gens in fp_ideals]
 
@@ -201,8 +152,7 @@ def _any_product_escapes(factor_lists, e, meter):
             return True
         for _, poly in factor_lists[i]:
             meter.charge_multisets()
-            meter.charge_terms(len(acc.terms) * len(poly.terms))
-            if recurse(i + 1, acc * poly):
+            if recurse(i + 1, meter.mul(acc, poly)):
                 return True
         return False
 
@@ -220,19 +170,11 @@ def volume_witness_floor(certificate, scan_level):
     horizon; the box below the witness tuple lies inside V(p**E) by
     downward closure.
     """
-    if not isinstance(scan_level, int) or scan_level < 1:
-        raise InputError("scan level must be a positive integer")
-    p = certificate.p
-    product = Fraction(1)
-    for block, horizon in zip(certificate.rho_blocks, certificate.horizons):
-        if horizon.finite and horizon.value < scan_level:
-            s = horizon.value
-            factor = sum(truncation(a, p, s) for a in block)
-            factor += Fraction(p ** (scan_level - s) - 1, p**scan_level)
-        else:
-            factor = sum(truncation(a, p, scan_level) for a in block)
-        product *= factor
-    return product
+    return math.prod(
+        _block_floors(
+            certificate.p, certificate.rho_blocks, certificate.horizons, scan_level
+        )
+    )
 
 
 def fvolume_estimate(ideals, p, e_max, budgets=None):
@@ -240,7 +182,7 @@ def fvolume_estimate(ideals, p, e_max, budgets=None):
     Rational generators are reduced mod p first."""
     if not isinstance(e_max, int) or e_max < 1:
         raise InputError("e_max must be a positive integer")
-    fp_ideals = _to_fp_ideals(ideals, p)
+    fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
     t = len(fp_ideals)
     rows = []
     for e in range(1, e_max + 1):
@@ -268,9 +210,7 @@ def term_ideal_volume_bound(generators, budgets=None):
     best = None
     witness = None
     for point in sorted(candidates):
-        value = Fraction(1)
-        for block in matrix.split(point):
-            value *= sum(block, Fraction(0))
+        value = math.prod(sum(block) for block in matrix.split(point))
         if best is None or value > best:
             best = value
             witness = point

@@ -67,10 +67,7 @@ class ExponentMatrix:
     @property
     def block_boundaries(self):
         """Start offsets of each block plus the final end offset."""
-        bounds = [0]
-        for size in self.block_sizes:
-            bounds.append(bounds[-1] + size)
-        return tuple(bounds)
+        return tuple(itertools.accumulate(self.block_sizes, initial=0))
 
     @property
     def rows(self):
@@ -84,21 +81,19 @@ class ExponentMatrix:
         if len(vector) != self.width:
             raise InputError("vector length %d does not match width %d"
                              % (len(vector), self.width))
-        bounds = self.block_boundaries
-        return tuple(
-            tuple(vector[bounds[i]:bounds[i + 1]])
-            for i in range(len(self.block_sizes))
-        )
+        return _split_blocks(vector, self.block_sizes)
 
 
-def reduce_generators(generators):
-    """Build the ReducedMapping of a generator sequence.
+def _split_blocks(vector, block_sizes):
+    """Cut a vector into consecutive per-block tuples."""
+    bounds = tuple(itertools.accumulate(block_sizes, initial=0))
+    return tuple(tuple(vector[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    Every generator must be a nonzero polynomial without constant term,
-    over one common ring.  Raises EmptyBlock when a generator's support
-    is exhausted by earlier generators, NotInMaximalIdeal on a constant
-    term.
-    """
+
+def _check_generators(generators):
+    """Validate a generator sequence and return it as a tuple: it must
+    be non-empty, and its members nonzero polynomials without constant
+    term over one common ring and variable count."""
     generators = tuple(generators)
     if not generators:
         raise InputError("at least one generator is required")
@@ -111,8 +106,22 @@ def reduce_generators(generators):
         if g.is_zero():
             raise InputError("generator %d is zero" % i)
         if (0,) * g.varcount in g.terms:
-            raise NotInMaximalIdeal("generator %d has a constant term" % i)
+            raise NotInMaximalIdeal(
+                "generator %d has a constant term, so it is not in the "
+                "maximal ideal" % i
+            )
+    return generators
 
+
+def reduce_generators(generators):
+    """Build the ReducedMapping of a generator sequence.
+
+    Every generator must be a nonzero polynomial without constant term,
+    over one common ring (``_check_generators``).  Raises EmptyBlock
+    when a generator's support is exhausted by earlier generators,
+    NotInMaximalIdeal on a constant term.
+    """
+    generators = _check_generators(generators)
     seen = set()
     blocks = []
     coeff_columns = []
@@ -127,7 +136,7 @@ def reduce_generators(generators):
         coeff_columns.append(tuple(g.terms[mon] for mon in ordered))
         seen |= set(g.terms)
     return ReducedMapping(
-        varcount=first.varcount,
+        varcount=generators[0].varcount,
         blocks=tuple(blocks),
         coeff_columns=tuple(coeff_columns),
         original_generators=generators,
@@ -172,13 +181,7 @@ class MaximalPointCert:
     def blocks_of_rho(self):
         if self.rho is None:
             return None
-        bounds = [0]
-        for size in self.block_sizes:
-            bounds.append(bounds[-1] + size)
-        return tuple(
-            tuple(self.rho[bounds[i]:bounds[i + 1]])
-            for i in range(len(self.block_sizes))
-        )
+        return _split_blocks(self.rho, self.block_sizes)
 
     @property
     def free_coordinates(self):

@@ -6,6 +6,7 @@ and the integers mod a prime p (int coefficients in [1, p-1] once
 normalized; zero terms are dropped).
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -237,23 +238,20 @@ class Polynomial:
         return "Polynomial(%r, %s)" % (self.ring, format_polynomial(self))
 
 
-def poly_mul(a, b):
-    """Product of two polynomials over the same ring."""
-    return a * b
-
-
-def poly_pow(a, n):
-    """a**n for an integer n >= 0; a**0 is the constant 1."""
+def poly_pow(a, n, meter=None):
+    """a**n for an integer n >= 0; a**0 is the constant 1.  With a
+    ``meter``, every product is charged to it (``Meter.mul``)."""
     if not isinstance(n, int) or n < 0:
         raise InputError("exponent must be a nonnegative integer, got %r" % (n,))
+    mul = operator.mul if meter is None else meter.mul
     result = Polynomial.one(a.ring, a.varcount)
     base = a
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

@@ -9,32 +9,40 @@ the independent oracle nu, and a digit-truncation witness checks the
 predicted coefficient of the escaping monomial.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basep import (
-    CarryHorizon,
+    INFINITY,
     carry_horizon,
     in_P_rho_0,
     in_P_rho_inf,
     is_prime,
     truncation,
 )
-from .budgets import Budgets, Meter
+from .budgets import Meter
 from .errors import (
     FptcertError,
     InputError,
     NonUniqueMaximalPoint,
     RingMismatch,
 )
-from .geometry import exponent_matrix, maximal_point, newton_min_diagonal, reduce_generators
+from .geometry import (
+    _check_generators,
+    exponent_matrix,
+    maximal_point,
+    newton_min_diagonal,
+    reduce_generators,
+)
 from .polyring import (
     QQ,
     IntegersMod,
     Polynomial,
     coefficient_of,
     in_frobenius_power,
+    poly_pow,
     reduce_mod_p,
     support,
 )
@@ -134,43 +142,55 @@ class FptCertificate:
         }
 
 
-def fpt_bound(generators, p, budgets=None):
+def _block_floors(p, rho_blocks, horizons, level):
+    """Per-block floors of the digit construction at ``level``, a
+    positive integer or INFINITY.
+
+    A block whose horizon S_i < level contributes
+    |<rho_i>_{S_i}| + p**-S_i - p**-level; any other block contributes
+    |<rho_i>_level|.  The threshold bounds are sums of these floors and
+    the volume bounds their products.
+    """
+    if level == INFINITY:
+        tail = 0
+    elif isinstance(level, int) and level >= 1:
+        tail = Fraction(1, p**level)
+    else:
+        raise InputError("scan level must be a positive integer")
+    floors = []
+    for block, horizon in zip(rho_blocks, horizons):
+        s = horizon.value
+        if s < level:
+            floor = sum(truncation(a, p, s) for a in block) + Fraction(1, p**s)
+            floors.append(floor - tail)
+        else:
+            floors.append(sum(truncation(a, p, level) for a in block))
+    return floors
+
+
+def fpt_bound(generators, p):
     """Certificate for the threshold of the ideal the generators span,
     over GF(p).  Rational generators are reduced mod p first.
 
     When every block of rho adds without carrying in base p the value
     is exact (it equals |rho|); otherwise the finite carry horizons
     S_i produce the certified lower bound
-    sum_{i not in I} |rho_i| + sum_{i in I} (|<rho_i>_{S_i}| + p**-S_i).
+    sum_{i not in I} |rho_i| + sum_{i in I} (|<rho_i>_{S_i}| + p**-S_i),
+    the sum of the block floors at level INFINITY.
     """
-    del budgets  # the pipeline is polynomial-free; nothing to meter
     _, _, cert = _unique_rho(generators, p)
     rho_blocks = cert.blocks_of_rho
     horizons = tuple(carry_horizon(block, p) for block in rho_blocks)
     finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
-    t = len(rho_blocks)
-    if finite_indices:
-        kind = KIND_LOWER_BOUND
-        value = Fraction(0)
-        for i, block in enumerate(rho_blocks):
-            if i in finite_indices:
-                s = horizons[i].value
-                value += sum(truncation(a, p, s) for a in block)
-                value += Fraction(1, p**s)
-            else:
-                value += sum(block, Fraction(0))
-    else:
-        kind = KIND_EXACT
-        value = cert.M
     truncations = tuple(
         tuple(truncation(a, p, horizons[i].value) for a in rho_blocks[i])
         for i in finite_indices
     )
     return FptCertificate(
         p=p,
-        kind=kind,
-        value=value,
-        upper_bound=min(Fraction(t), cert.M),
+        kind=KIND_LOWER_BOUND if finite_indices else KIND_EXACT,
+        value=sum(_block_floors(p, rho_blocks, horizons, INFINITY)),
+        upper_bound=min(Fraction(len(rho_blocks)), cert.M),
         rho_blocks=rho_blocks,
         horizons=horizons,
         finite_indices=finite_indices,
@@ -186,18 +206,11 @@ def witness_floor(certificate, scan_level):
     with horizon S_i < E contributes |<rho_i>_{S_i}| plus the tail
     (p**(E - S_i) - 1) / p**E made of maximal digits past the horizon.
     """
-    if not isinstance(scan_level, int) or scan_level < 1:
-        raise InputError("scan level must be a positive integer")
-    p = certificate.p
-    total = Fraction(0)
-    for block, horizon in zip(certificate.rho_blocks, certificate.horizons):
-        if horizon.finite and horizon.value < scan_level:
-            s = horizon.value
-            total += sum(truncation(a, p, s) for a in block)
-            total += Fraction(p ** (scan_level - s) - 1, p**scan_level)
-        else:
-            total += sum(truncation(a, p, scan_level) for a in block)
-    return total
+    return sum(
+        _block_floors(
+            certificate.p, certificate.rho_blocks, certificate.horizons, scan_level
+        )
+    )
 
 
 def _compositions(total, parts):
@@ -220,9 +233,7 @@ class _PowerCache:
 
     def power(self, k):
         while len(self.cache) <= k:
-            top = self.cache[-1]
-            self.meter.charge_terms(len(top.terms) * len(self.poly.terms))
-            self.cache.append(top * self.poly)
+            self.cache.append(self.meter.mul(self.cache[-1], self.poly))
         return self.cache[k]
 
 
@@ -237,24 +248,15 @@ def nu(generators, e, budgets=None):
     found at level c is retried with one extra factor at level c + 1
     before the full scan.
     """
-    generators = tuple(generators)
-    if not generators:
-        raise InputError("at least one generator is required")
+    generators = _check_generators(generators)
     ring = generators[0].ring
     if not isinstance(ring, IntegersMod):
         raise RingMismatch("nu expects generators over GF(p)")
     _check_prime(ring.p)
-    for i, g in enumerate(generators):
-        if g.ring != ring or g.varcount != generators[0].varcount:
-            raise RingMismatch("generator %d lives in a different ring" % i)
-        if g.is_zero():
-            raise InputError("generator %d is zero" % i)
-        if (0,) * g.varcount in g.terms:
-            raise InputError("generator %d is not in the maximal ideal" % i)
     if not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
 
-    meter = Meter(budgets if budgets is not None else Budgets.from_env())
+    meter = Meter(budgets)
     m = generators[0].varcount
     t = len(generators)
     one = Polynomial.one(ring, m)
@@ -265,9 +267,7 @@ def nu(generators, e, budgets=None):
         for i, k in enumerate(composition):
             if k == 0:
                 continue
-            factor = powers[i].power(k)
-            meter.charge_terms(len(product.terms) * len(factor.terms))
-            product = product * factor
+            product = meter.mul(product, powers[i].power(k))
             if in_frobenius_power(product, e):
                 return False
         return not in_frobenius_power(product, e)
@@ -305,20 +305,6 @@ def fpt_estimate(generators, p, e_max, budgets=None):
         value = nu(fp_gens, e, budgets)
         rows.append((e, value, Fraction(value, p**e)))
     return rows
-
-
-def _pow_metered(poly, n, meter):
-    result = Polynomial.one(poly.ring, poly.varcount)
-    base = poly
-    while n:
-        if n & 1:
-            meter.charge_terms(len(result.terms) * len(base.terms))
-            result = result * base
-        n >>= 1
-        if n:
-            meter.charge_terms(len(base.terms) ** 2)
-            base = base * base
-    return result
 
 
 @dataclass(frozen=True)
@@ -364,7 +350,7 @@ def coefficient_witness(generators, p, e, budgets=None):
     if not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
     mapping, matrix, cert = _unique_rho(generators, p)
-    meter = Meter(budgets if budgets is not None else Budgets.from_env())
+    meter = Meter(budgets)
     rho_blocks = cert.blocks_of_rho
     truncated = [
         [truncation(a, p, e) for a in block] for block in rho_blocks
@@ -379,9 +365,7 @@ def coefficient_witness(generators, p, e, budgets=None):
 
     product = Polynomial.one(mapping.original_generators[0].ring, matrix.varcount)
     for g, q_i in zip(mapping.original_generators, exponents):
-        factor = _pow_metered(g, q_i, meter)
-        meter.charge_terms(len(product.terms) * len(factor.terms))
-        product = product * factor
+        product = meter.mul(product, poly_pow(g, q_i, meter))
 
     flat_parts = [x for parts in parts_per_block for x in parts]
     target = tuple(
@@ -502,42 +486,33 @@ def lct_fpt_classifier(generators):
         "p preserves the Newton polyhedron (sufficient check: after "
         "clearing denominators no generator coefficient is divisible by p)"
     )
+    verdict = functools.partial(
+        LctVerdict, t=t, rho_blocks=rho_blocks, block_sums=sums, checked_primes=()
+    )
     if all(s > 1 for s in sums):
-        return LctVerdict(
+        return verdict(
             case=CASE_DIAGONAL_ABOVE_T,
             value=Fraction(t),
-            t=t,
-            rho_blocks=rho_blocks,
-            block_sums=sums,
             prime_predicate=(
                 "the first base-p digits of every block sum to at least p, and "
                 + newton_clause
             ),
-            checked_primes=(),
             failed_hypothesis=None,
         )
     if all(s <= 1 for s in sums):
-        return LctVerdict(
+        return verdict(
             case=CASE_DIAGONAL_AT_MOST_T,
             value=cert.M,
-            t=t,
-            rho_blocks=rho_blocks,
-            block_sums=sums,
             prime_predicate=(
                 "every block adds without carrying in base p, and "
                 + newton_clause
             ),
-            checked_primes=(),
             failed_hypothesis=None,
         )
-    return LctVerdict(
+    return verdict(
         case=CASE_INCONCLUSIVE,
         value=None,
-        t=t,
-        rho_blocks=rho_blocks,
-        block_sums=sums,
         prime_predicate="",
-        checked_primes=(),
         failed_hypothesis=(
             "mixed block coordinate sums (%s): some exceed 1 and some do not"
             % ", ".join(str(s) for s in sums)

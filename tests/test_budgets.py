@@ -1,0 +1,52 @@
+"""Exact budget edges of the metered oracles.
+
+Every polynomial product is charged len(a.terms) * len(b.terms) term
+operations before it is formed, and every candidate product one
+multiset, so a fixed input spends a fixed total: a cap equal to that
+total lets the call finish and a cap one below it stops the call.
+"""
+
+import pytest
+
+from fptcert.budgets import Budgets
+from fptcert.errors import BudgetExceeded
+from fptcert.fvolume import fvolume_count
+from fptcert.polyring import parse_polynomial, reduce_mod_p
+from fptcert.thresholds import coefficient_witness, nu
+
+XYZ = ("x", "y", "z")
+PAIR = [parse_polynomial(s, XYZ) for s in ("x^2+x*y^2", "y*z^3")]
+FP_PAIR = [reduce_mod_p(g, 2) for g in PAIR]
+LINE_PARABOLA = [
+    [reduce_mod_p(parse_polynomial(s, ("x", "y")), 2)] for s in ("x", "x+y^2")
+]
+
+CALLS = {
+    "nu": (lambda budgets: nu(FP_PAIR, 2, budgets), 2),
+    "fvolume_count": (lambda budgets: fvolume_count(LINE_PARABOLA, 2, budgets), 12),
+    "coefficient_witness": (
+        lambda budgets: coefficient_witness(PAIR, 7, 1, budgets).actual,
+        6,
+    ),
+}
+
+EDGES = [
+    ("nu", "max_terms", 38),
+    ("nu", "max_multisets", 9),
+    ("fvolume_count", "max_terms", 77),
+    ("fvolume_count", "max_multisets", 44),
+    ("coefficient_witness", "max_terms", 30),
+]
+
+
+@pytest.mark.parametrize("name,field,total", EDGES)
+def test_budget_edge(name, field, total):
+    call, expected = CALLS[name]
+    assert call(Budgets(**{field: total})) == expected
+    with pytest.raises(BudgetExceeded):
+        call(Budgets(**{field: total - 1}))
+
+
+def test_coefficient_witness_charges_no_multisets():
+    call, expected = CALLS["coefficient_witness"]
+    assert call(Budgets(max_multisets=0)) == expected

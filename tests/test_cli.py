@@ -221,6 +221,59 @@ def test_witness(capsys):
     }
 
 
+DEFAULT_BUDGETS = {"max_multisets": 10**6, "max_terms": 10**7, "max_dimension": 12}
+PAIR_ECHO = {"variables": ["x", "y", "z"], "generators": ["x^2+x*y^2", "y*z^3"]}
+FERMAT6_ECHO = {
+    "variables": ["x1", "x2", "x3", "x4", "x5", "x6"],
+    "generators": ["x1^2+x2^3+x3^4", "x4^2+x5^3+x6^4"],
+}
+LINE_PARABOLA = ["--vars", "x,y", "--gens", "x, x+y^2"]
+LINE_PARABOLA_ECHO = {"variables": ["x", "y"], "generators": ["x", "x+y^2"]}
+IDEALS = ["--vars", "x,y", "--ideals", "x;x+y^2"]
+IDEALS_ECHO = {"variables": ["x", "y"], "ideals": [["x"], ["x+y^2"]]}
+
+INPUT_ECHO = [
+    (["polytope", *PAIR], {**PAIR_ECHO, "p": None}),
+    (["digits", "--alpha", " 2/6", "--p", "2"], {"alpha": "1/3", "p": 2, "count": 12}),
+    (["carry", "--block", "1/3, 2/6", "--p", "2"], {"block": ["1/3", "1/3"], "p": 2}),
+    (["fpt-bound", *PAIR, "--p", "2"], {**PAIR_ECHO, "p": 2}),
+    (["nu", *PAIR, "--p", "2", "--e", "1"], {**PAIR_ECHO, "p": 2, "e": 1}),
+    (
+        ["fpt-estimate", *PAIR, "--p", "2", "--e-max", "1"],
+        {**PAIR_ECHO, "p": 2, "e_max": 1},
+    ),
+    (["classify", *FERMAT6], FERMAT6_ECHO),
+    (["verify-prime", *FERMAT6, "--p", "5"], {**FERMAT6_ECHO, "p": 5}),
+    (
+        ["fvol-bound", *LINE_PARABOLA, "--p", "2"],
+        {**LINE_PARABOLA_ECHO, "p": 2, "counts_e_max": None},
+    ),
+    (
+        ["fvol-count", *IDEALS, "--p", "2", "--e", "1"],
+        {**IDEALS_ECHO, "p": 2, "e": 1},
+    ),
+    (
+        ["fvol-estimate", *IDEALS, "--p", "2", "--e-max", "1"],
+        {**IDEALS_ECHO, "p": 2, "e_max": 1},
+    ),
+    (["witness", *PAIR, "--p", "7", "--e", "1"], {**PAIR_ECHO, "p": 7, "e": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", INPUT_ECHO, ids=[argv[0] for argv, _ in INPUT_ECHO]
+)
+def test_input_echo(capsys, monkeypatch, argv, expected):
+    """The input echo lists the normalized inputs in a fixed order, with
+    resolved defaults, nulls for absent optional inputs, and budgets last."""
+    for name in ("FPTCERT_MAX_MULTISETS", "FPTCERT_MAX_TERMS", "FPTCERT_MAX_DIMENSION"):
+        monkeypatch.delenv(name, raising=False)
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert list(payload["input"]) == [*expected, "budgets"]
+    assert payload["input"] == {**expected, "budgets": DEFAULT_BUDGETS}
+
+
 def test_rationals_round_trip(capsys):
     from fractions import Fraction
 
