@@ -85,6 +85,8 @@ def _norm_ideals(value, flag, key):
             raise InputError("ideal list has an empty entry")
     elif isinstance(value, list):
         groups = value
+        if not groups:
+            raise InputError("%s is empty" % flag)
     else:
         raise InputError("ideals must be ';'-separated groups or a list of lists")
     return [_norm_strings(group, flag, "ideal generators") for group in groups]

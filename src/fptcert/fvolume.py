@@ -13,17 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basep import INFINITY
-from .budgets import Meter
-from .errors import FptcertError, InputError, RingMismatch
+from .errors import InputError
 from .geometry import (
-    _check_generators,
     exponent_matrix,
     maximal_point,
     reduce_generators,
     vertices,
 )
-from .polyring import IntegersMod, Polynomial, in_frobenius_power
-from .thresholds import _block_floors, _check_prime, _to_fp_generators, fpt_bound
+from .thresholds import _block_floors, _escape_set, _to_fp_generators, fpt_bound
 
 
 @dataclass(frozen=True)
@@ -63,102 +60,19 @@ def fvolume_lower_bound(generators, p):
     )
 
 
-class _IdealPowers:
-    """Products of n generators (repetition allowed) of one ideal,
-    extended level by level; the level-n products generate a_i**n."""
-
-    def __init__(self, gens, meter):
-        self.gens = gens
-        self.meter = meter
-        one = Polynomial.one(gens[0].ring, gens[0].varcount)
-        # entries (last index used, product); nondecreasing index
-        # extension enumerates each multiset exactly once
-        self.levels = [[(0, one)]]
-
-    def products(self, n):
-        while len(self.levels) <= n:
-            nxt = []
-            for last, poly in self.levels[-1]:
-                for j in range(last, len(self.gens)):
-                    self.meter.charge_multisets()
-                    nxt.append((j, self.meter.mul(poly, self.gens[j])))
-            self.levels.append(nxt)
-        return self.levels[n]
-
-
 def fvolume_points(ideals, e, budgets=None):
     """The escape set V(p^e) itself, sorted: all (n_1, ..., n_t) with
     a_1**n_1 ... a_t**n_t not inside the e-th Frobenius power of the
-    maximal ideal.  Found by breadth-first search from the origin;
-    membership is tested on the products of the per-ideal power
-    generators, and the search asserts that the set is downward closed,
-    which the containment order forces.
+    maximal ideal.  Found by the breadth-first search shared with nu
+    (thresholds._escape_set), which asserts that the set is downward
+    closed, as the containment order forces.
     """
-    fp_ideals = [tuple(gens) for gens in ideals]
-    if not all(fp_ideals):
-        raise InputError("every ideal needs at least one generator")
-    ring = _check_generators([g for gens in fp_ideals for g in gens])[0].ring
-    if not isinstance(ring, IntegersMod):
-        raise RingMismatch("counting needs generators over GF(p)")
-    _check_prime(ring.p)
-    if not isinstance(e, int) or e < 1:
-        raise InputError("e must be a positive integer")
-
-    meter = Meter(budgets)
-    t = len(fp_ideals)
-    powers = [_IdealPowers(gens, meter) for gens in fp_ideals]
-
-    def member(point):
-        factor_lists = [powers[i].products(n) for i, n in enumerate(point)]
-        return _any_product_escapes(factor_lists, e, meter)
-
-    status = {}
-    queue = [(0,) * t]
-    head = 0
-    members = []
-    while head < len(queue):
-        point = queue[head]
-        head += 1
-        if point in status:
-            continue
-        escaped = member(point)
-        status[point] = escaped
-        if not escaped:
-            continue
-        for i in range(t):
-            if point[i] == 0:
-                continue
-            parent = point[:i] + (point[i] - 1,) + point[i + 1:]
-            if status.get(parent) is not True:
-                raise FptcertError(
-                    "internal: escape set not downward closed at %r" % (point,)
-                )
-        members.append(point)
-        for i in range(t):
-            queue.append(point[:i] + (point[i] + 1,) + point[i + 1:])
-    return sorted(members)
+    return sorted(_escape_set(ideals, e, budgets))
 
 
 def fvolume_count(ideals, e, budgets=None):
     """Card V(p^e); see fvolume_points."""
     return len(fvolume_points(ideals, e, budgets))
-
-
-def _any_product_escapes(factor_lists, e, meter):
-    def recurse(i, acc):
-        if in_frobenius_power(acc, e):
-            return False
-        if i == len(factor_lists):
-            return True
-        for _, poly in factor_lists[i]:
-            meter.charge_multisets()
-            if recurse(i + 1, meter.mul(acc, poly)):
-                return True
-        return False
-
-    first = factor_lists[0][0][1]
-    one = Polynomial.one(first.ring, first.varcount)
-    return recurse(0, one)
 
 
 def volume_witness_floor(certificate, scan_level):

@@ -305,11 +305,12 @@ def in_frobenius_power(a, e):
 # --- parsing -------------------------------------------------------------
 #
 # poly   := ['-'] term (('+' | '-') term)*
-# term   := coeff ('*'? factor)* | factor ('*' factor)*
+# term   := (coeff | factor) ('*'? factor)*
 # factor := VAR ('^' UINT)?
 # coeff  := UINT | UINT '/' UINT
 #
-# Whitespace is insignificant.  No parentheses.
+# Juxtaposed factors multiply ("2x y" is 2*x*y); a term cannot start
+# with '*'.  Whitespace is insignificant.  No parentheses.
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
@@ -383,6 +384,8 @@ def _parse_term(scanner, index, varcount):
     while True:
         ch = scanner.peek()
         if ch == "*":
+            if not saw_anything:
+                raise ParseError("expected a term", scanner.pos)
             scanner.pos += 1
             _parse_factor(scanner, index, exponents)
             saw_anything = True

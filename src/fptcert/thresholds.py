@@ -9,7 +9,9 @@ the independent oracle nu, and a digit-truncation witness checks the
 predicted coefficient of the escaping monomial.
 """
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -237,62 +239,96 @@ class _PowerCache:
         return self.cache[k]
 
 
-def nu(generators, e, budgets=None):
-    """max{c : (f_1, ..., f_t)**c is not inside (x_1**q, ..., x_m**q)}
-    for q = p**e, found by scanning c upward and testing every degree-c
-    product of generators.  Generators must be nonzero members of the
-    maximal ideal over GF(p).
+def _escape_set(ideals, e, budgets=None):
+    """The escape set V(p^e) of a tuple of ideals a_1, ..., a_t over
+    GF(p): the tuples (n_1, ..., n_t) with a_1**n_1 ... a_t**n_t not
+    inside (x_1**q, ..., x_m**q), q = p**e.  Returns a dict from each
+    member to an escaping generator exponent vector (None at the
+    origin, where the empty product 1 escapes).
 
-    A partial product already inside the Frobenius power can never
-    escape, so those branches are abandoned early; the escaping product
-    found at level c is retried with one extra factor at level c + 1
-    before the full scan.
+    Breadth-first search from the origin.  A point is a member when one
+    product of generator powers with exponents summing to n_i over the
+    generators of a_i escapes.  The escaping vector of the first member
+    parent, grown by one in each generator slot of the ideal that grew,
+    is tried first, then every vector in turn; each candidate is one
+    multiset.  A partial product already inside the Frobenius power can
+    never escape, so the test stops there.  The containment order makes
+    the set downward closed, which the search asserts.
     """
-    generators = _check_generators(generators)
+    ideals = [tuple(gens) for gens in ideals]
+    generators = _check_generators([g for gens in ideals for g in gens])
+    if not all(ideals):
+        raise InputError("every ideal needs at least one generator")
     ring = generators[0].ring
     if not isinstance(ring, IntegersMod):
-        raise RingMismatch("nu expects generators over GF(p)")
+        raise RingMismatch("the Frobenius oracles need generators over GF(p)")
     _check_prime(ring.p)
     if not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
 
     meter = Meter(budgets)
-    m = generators[0].varcount
-    t = len(generators)
-    one = Polynomial.one(ring, m)
+    one = Polynomial.one(ring, generators[0].varcount)
     powers = [_PowerCache(g, meter) for g in generators]
+    sizes = [len(gens) for gens in ideals]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    t = len(ideals)
 
-    def escapes(composition):
+    def escapes(vector):
         product = one
-        for i, k in enumerate(composition):
-            if k == 0:
-                continue
-            product = meter.mul(product, powers[i].power(k))
-            if in_frobenius_power(product, e):
-                return False
-        return not in_frobenius_power(product, e)
+        for power, k in zip(powers, vector):
+            if k:
+                product = meter.mul(product, power.power(k))
+                if in_frobenius_power(product, e):
+                    return False
+        return True
 
-    limit = m * (ring.p**e - 1) + 1
-    witness = None
-    for c in range(1, limit + 1):
-        found = None
+    def candidates(point, witness, grown):
         if witness is not None:
-            for i in range(t):
-                candidate = witness[:i] + (witness[i] + 1,) + witness[i + 1:]
-                meter.charge_multisets()
-                if escapes(candidate):
-                    found = candidate
-                    break
-        if found is None:
-            for composition in _compositions(c, t):
-                meter.charge_multisets()
-                if escapes(composition):
-                    found = composition
-                    break
-        if found is None:
-            return c - 1
-        witness = found
-    raise FptcertError("internal: containment level %d not reached" % limit)
+            for j in range(offsets[grown], offsets[grown + 1]):
+                yield witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+        for parts in itertools.product(*map(_compositions, point, sizes)):
+            yield sum(parts, ())
+
+    def successors(point):
+        return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(t)]
+
+    origin = (0,) * t
+    members = {origin: None}
+    seen = {origin}
+    queue = collections.deque(successors(origin))
+    while queue:
+        point = queue.popleft()
+        if point in seen:
+            continue
+        seen.add(point)
+        parents = [
+            (i, point[:i] + (point[i] - 1,) + point[i + 1:])
+            for i in range(t)
+            if point[i]
+        ]
+        grown, parent = next((i, q) for i, q in parents if q in members)
+        for vector in candidates(point, members[parent], grown):
+            meter.charge_multisets()
+            if escapes(vector):
+                break
+        else:
+            continue
+        if any(q not in members for _, q in parents):
+            raise FptcertError(
+                "internal: escape set not downward closed at %r" % (point,)
+            )
+        members[point] = vector
+        queue.extend(successors(point))
+    return members
+
+
+def nu(generators, e, budgets=None):
+    """max{c : (f_1, ..., f_t)**c is not inside (x_1**q, ..., x_m**q)}
+    for q = p**e.  Generators must be nonzero members of the maximal
+    ideal over GF(p).  For one ideal the escape set is {0, ..., nu}, so
+    this is Card V(p^e) - 1 (see _escape_set).
+    """
+    return len(_escape_set([generators], e, budgets)) - 1
 
 
 def fpt_estimate(generators, p, e_max, budgets=None):

@@ -33,8 +33,8 @@ CALLS = {
 EDGES = [
     ("nu", "max_terms", 38),
     ("nu", "max_multisets", 9),
-    ("fvolume_count", "max_terms", 77),
-    ("fvolume_count", "max_multisets", 44),
+    ("fvolume_count", "max_terms", 86),
+    ("fvolume_count", "max_multisets", 25),
     ("coefficient_witness", "max_terms", 30),
 ]
 

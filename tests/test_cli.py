@@ -404,6 +404,17 @@ def test_job_file_errors(tmp_path, capsys):
     assert "unknown budget" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command,level", [("fvol-count", "e"), ("fvol-estimate", "e_max")])
+def test_job_file_empty_ideals(tmp_path, capsys, command, level):
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps({"command": command, "vars": "x,y", "ideals": [], "p": 2, level: 1})
+    )
+    code, payload, _ = run_json(capsys, command, "--job", str(job))
+    assert code == 2
+    assert payload["error"] == {"kind": "InputError", "message": "--ideals is empty"}
+
+
 def test_job_budgets_and_format(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(

@@ -1,5 +1,9 @@
 """Escape-set counting, volume lower bounds, and their agreement."""
 
+import functools
+import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +23,7 @@ from fptcert.fvolume import (
     term_ideal_volume_bound,
     volume_witness_floor,
 )
-from fptcert.polyring import parse_polynomial, reduce_mod_p
+from fptcert.polyring import IntegersMod, Polynomial, parse_polynomial, reduce_mod_p
 from fptcert.thresholds import fpt_bound, nu
 
 XYZ = ("x", "y", "z")
@@ -115,6 +119,65 @@ def test_single_ideal_count_is_nu_plus_one():
 
     fp_pair = [reduce_mod_p(g, 2) for g in pair()]
     assert fvolume_count([fp_pair], 2) == nu(fp_pair, 2) + 1
+
+
+def reference_points(ideals, e):
+    """V(p^e) by exhaustion: every point of the box [0, m(q-1)]^t (a
+    product of more than m(q-1) generators lies in m^[q]), every
+    multiset of generators per ideal, each product expanded in full."""
+    ring, m = ideals[0][0].ring, ideals[0][0].varcount
+    q = ring.p**e
+    top = m * (q - 1)
+    one = Polynomial.one(ring, m)
+
+    def expand(factors):
+        return functools.reduce(operator.mul, factors, one)
+
+    levels = [
+        [
+            [expand(c) for c in itertools.combinations_with_replacement(gens, n)]
+            for n in range(top + 1)
+        ]
+        for gens in ideals
+    ]
+    return [
+        point
+        for point in itertools.product(range(top + 1), repeat=len(ideals))
+        if any(
+            any(max(mon) < q for mon in expand(choice).terms)
+            for choice in itertools.product(*[lv[n] for lv, n in zip(levels, point)])
+        )
+    ]
+
+
+def random_ideals(seed):
+    """1-2 ideals of 1-2 generators in GF(p)[x, y], each a sum of 1-3
+    terms of degree 1-2, with p in {2, 3} and e <= 2 (e = 1 for p = 3)."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    e = rng.randint(1, 2) if p == 2 else 1
+    monomials = [(a, b) for a in range(3) for b in range(3) if 1 <= a + b <= 2]
+    ideals = [
+        [
+            Polynomial(
+                IntegersMod(p),
+                2,
+                {mon: rng.randrange(1, p) for mon in rng.sample(monomials, rng.randint(1, 3))},
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        for _ in range(rng.randint(1, 2))
+    ]
+    return ideals, e
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_escape_search_matches_exhaustion(seed):
+    ideals, e = random_ideals(seed)
+    expected = reference_points(ideals, e)
+    assert fvolume_points(ideals, e) == expected
+    if len(ideals) == 1:
+        assert nu(ideals[0], e) == len(expected) - 1
 
 
 def test_fvolume_estimate_frozen():

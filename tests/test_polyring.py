@@ -65,6 +65,8 @@ def test_parse_signs_and_cancellation():
         ("+x", "cannot start with '+'"),
         ("x++y", "expected a term"),
         ("x^2+", "expected a term"),
+        ("*x", "expected a term"),
+        ("x+*y", "expected a term"),
         ("x^-2", "negative exponent"),
         ("w", "unknown variable 'w'"),
         ("1/0", "zero denominator"),
