@@ -75,8 +75,9 @@ class Meter:
                 % (self.term_ops, self.budgets.max_terms)
             )
 
-    def mul(self, a, b):
-        """The product a * b, charged as len(a.terms) * len(b.terms)
+    def mul(self, box, a, b):
+        """The truncated product box.mul(a, b) of two packed
+        polynomials (``polyring._Box``), charged as len(a) * len(b)
         term operations before it is formed."""
-        self.charge_terms(len(a.terms) * len(b.terms))
-        return a * b
+        self.charge_terms(len(a) * len(b))
+        return box.mul(a, b)

@@ -13,6 +13,7 @@ default.
 """
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -371,7 +372,10 @@ def _cmd_witness(inp):
     return coefficient_witness(gens, inp.p, inp.e, inp.budgets).to_json_dict()
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; help text is
+    formatted when it is printed, so it still follows COLUMNS."""
     parser = argparse.ArgumentParser(
         prog="fptcert",
         description=(

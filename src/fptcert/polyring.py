@@ -238,14 +238,16 @@ class Polynomial:
         return "Polynomial(%r, %s)" % (self.ring, format_polynomial(self))
 
 
-def poly_pow(a, n, meter=None):
-    """a**n for an integer n >= 0; a**0 is the constant 1.  With a
-    ``meter``, every product is charged to it (``Meter.mul``)."""
+def poly_pow(a, n):
+    """a**n for an integer n >= 0; a**0 is the constant 1."""
     if not isinstance(n, int) or n < 0:
         raise InputError("exponent must be a nonnegative integer, got %r" % (n,))
-    mul = operator.mul if meter is None else meter.mul
-    result = Polynomial.one(a.ring, a.varcount)
-    base = a
+    return _power(a, n, operator.mul, Polynomial.one(a.ring, a.varcount))
+
+
+def _power(base, n, mul, one):
+    """base**n by repeated squaring, every product formed by ``mul``."""
+    result = one
     while n:
         if n & 1:
             result = mul(result, base)
@@ -253,6 +255,62 @@ def poly_pow(a, n, meter=None):
         if n:
             base = mul(base, base)
     return result
+
+
+class _Box:
+    """Truncated products over GF(p) inside a box of exponents.
+
+    A term is kept only while every exponent e_i stays below the
+    exclusive bound b_i of its variable.  A polynomial in the box is a
+    dict from a packed monomial to a coefficient in [1, p-1]; the
+    constant 1 is {0: 1}.  Exponent e_i sits in field i of radix 2H,
+    where H is a power of two with H >= every bound, so the sum of two
+    packed monomials of the box never carries from one field into the
+    next.  Adding the bias sum (H - b_i) (2H)**i sets bit H of field i
+    exactly when e_i reaches b_i, so one AND with the guard mask
+    sum H (2H)**i drops every term that leaves the box.
+    """
+
+    __slots__ = ("bounds", "p", "shift", "bias", "guard")
+
+    def __init__(self, bounds, p):
+        self.bounds = tuple(bounds)
+        self.p = p
+        half = 1 << (max(self.bounds) - 1).bit_length()
+        self.shift = half.bit_length()
+        self.bias = self.key([half - b for b in self.bounds])
+        self.guard = self.key([half] * len(self.bounds))
+
+    def key(self, monomial):
+        """The packed form of an exponent tuple inside the box."""
+        shift = self.shift
+        return sum(e << (shift * i) for i, e in enumerate(monomial))
+
+    def pack(self, a):
+        """The terms of a polynomial over GF(p) that lie in the box."""
+        bounds = self.bounds
+        return {
+            self.key(mon): c
+            for mon, c in a.terms.items()
+            if all(e < b for e, b in zip(mon, bounds))
+        }
+
+    def mul(self, a, b):
+        """The product of two packed polynomials, truncated to the box.
+        Coefficients are summed as integers and reduced mod p at the
+        end, where the terms that cancel are dropped."""
+        if len(a) > len(b):  # the longer operand runs in the inner loop
+            a, b = b, a
+        bias, guard, p = self.bias, self.guard, self.p
+        out = {}
+        get = out.get
+        for ka, ca in a.items():
+            ka += bias
+            for s, cb in b.items():
+                s += ka
+                if not s & guard:
+                    out[s] = get(s, 0) + ca * cb
+        return {s - bias: c % p for s, c in out.items() if c % p}
 
 
 def reduce_mod_p(a, p):

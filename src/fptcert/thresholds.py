@@ -42,9 +42,8 @@ from .polyring import (
     QQ,
     IntegersMod,
     Polynomial,
-    coefficient_of,
-    in_frobenius_power,
-    poly_pow,
+    _Box,
+    _power,
     reduce_mod_p,
     support,
 )
@@ -226,16 +225,17 @@ def _compositions(total, parts):
 
 
 class _PowerCache:
-    """Lazily extended powers f**k of one polynomial, metered."""
+    """Lazily extended powers f**k of one packed polynomial, each formed
+    by the metered truncated product ``mul``."""
 
-    def __init__(self, poly, meter):
+    def __init__(self, poly, mul):
         self.poly = poly
-        self.meter = meter
-        self.cache = [Polynomial.one(poly.ring, poly.varcount)]
+        self.mul = mul
+        self.cache = [{0: 1}, poly]
 
     def power(self, k):
         while len(self.cache) <= k:
-            self.cache.append(self.meter.mul(self.cache[-1], self.poly))
+            self.cache.append(self.mul(self.cache[-1], self.poly))
         return self.cache[k]
 
 
@@ -250,10 +250,14 @@ def _escape_set(ideals, e, budgets=None):
     product of generator powers with exponents summing to n_i over the
     generators of a_i escapes.  The escaping vector of the first member
     parent, grown by one in each generator slot of the ideal that grew,
-    is tried first, then every vector in turn; each candidate is one
-    multiset.  A partial product already inside the Frobenius power can
-    never escape, so the test stops there.  The containment order makes
-    the set downward closed, which the search asserts.
+    is tried first, then every other vector in turn; each candidate is
+    one multiset.  Powers and products are truncated to the box of
+    exponents below (q, ..., q) (``polyring._Box``): a term with some
+    exponent >= q lies in the Frobenius power and so does every multiple
+    of it, so a product escapes exactly when its truncation is nonzero,
+    and the test stops at the first empty partial product.  The
+    containment order makes the set downward closed, which the search
+    asserts.
     """
     ideals = [tuple(gens) for gens in ideals]
     generators = _check_generators([g for gens in ideals for g in gens])
@@ -267,27 +271,34 @@ def _escape_set(ideals, e, budgets=None):
         raise InputError("e must be a positive integer")
 
     meter = Meter(budgets)
-    one = Polynomial.one(ring, generators[0].varcount)
-    powers = [_PowerCache(g, meter) for g in generators]
+    box = _Box([ring.p**e] * generators[0].varcount, ring.p)
+    mul = functools.partial(meter.mul, box)
+    powers = [_PowerCache(box.pack(g), mul) for g in generators]
     sizes = [len(gens) for gens in ideals]
     offsets = list(itertools.accumulate(sizes, initial=0))
     t = len(ideals)
 
     def escapes(vector):
-        product = one
+        product = None
         for power, k in zip(powers, vector):
             if k:
-                product = meter.mul(product, power.power(k))
-                if in_frobenius_power(product, e):
+                factor = power.power(k)
+                product = factor if product is None else mul(product, factor)
+                if not product:
                     return False
         return True
 
     def candidates(point, witness, grown):
+        tried = set()
         if witness is not None:
             for j in range(offsets[grown], offsets[grown + 1]):
-                yield witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+                vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+                tried.add(vector)
+                yield vector
         for parts in itertools.product(*map(_compositions, point, sizes)):
-            yield sum(parts, ())
+            vector = sum(parts, ())
+            if vector not in tried:
+                yield vector
 
     def successors(point):
         return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(t)]
@@ -379,8 +390,9 @@ class WitnessReport:
 
 
 def coefficient_witness(generators, p, e, budgets=None):
-    """Expand g = prod f_i**(p**e |<rho_i>_e|) over GF(p) and compare
-    the coefficient of x**(p**e E <rho>_e) with the digit prediction:
+    """Expand g = prod f_i**(p**e |<rho_i>_e|) over GF(p), truncated to
+    the box below the target, and compare the coefficient of
+    x**(p**e E <rho>_e) with the digit prediction:
     the product over blocks of the multinomial (Q_i; p**e <rho_i>_e)
     times the matching powers of the retained coefficients."""
     if not isinstance(e, int) or e < 1:
@@ -399,16 +411,18 @@ def coefficient_witness(generators, p, e, budgets=None):
         parts_per_block.append(parts)
         exponents.append(sum(parts))
 
-    product = Polynomial.one(mapping.original_generators[0].ring, matrix.varcount)
-    for g, q_i in zip(mapping.original_generators, exponents):
-        product = meter.mul(product, poly_pow(g, q_i, meter))
-
     flat_parts = [x for parts in parts_per_block for x in parts]
     target = tuple(
         sum(col[i] * k for col, k in zip(matrix.columns, flat_parts))
         for i in range(matrix.varcount)
     )
-    actual = coefficient_of(product, target)
+    # Only terms below the target can reach it in a product.
+    box = _Box([x + 1 for x in target], p)
+    mul = functools.partial(meter.mul, box)
+    product = {0: 1}
+    for g, q_i in zip(mapping.original_generators, exponents):
+        product = mul(product, _power(box.pack(g), q_i, mul, {0: 1}))
+    actual = product.get(box.key(target), 0)
 
     expected = 1
     per_block = []

@@ -31,11 +31,11 @@ CALLS = {
 }
 
 EDGES = [
-    ("nu", "max_terms", 38),
-    ("nu", "max_multisets", 9),
-    ("fvolume_count", "max_terms", 86),
-    ("fvolume_count", "max_multisets", 25),
-    ("coefficient_witness", "max_terms", 30),
+    ("nu", "max_terms", 7),
+    ("nu", "max_multisets", 7),
+    ("fvolume_count", "max_terms", 26),
+    ("fvolume_count", "max_multisets", 18),
+    ("coefficient_witness", "max_terms", 21),
 ]
 
 

@@ -15,6 +15,7 @@ from fptcert.polyring import (
     QQ,
     IntegersMod,
     Polynomial,
+    _Box,
     coefficient_of,
     format_polynomial,
     grlex_key,
@@ -253,3 +254,61 @@ def test_polynomial_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def random_box_case(seed):
+    """A seeded box over GF(p), p in {2, 3, 5, 7}, and two polynomials
+    with terms on both sides of its bounds.  Boxes cycle through equal
+    power-of-two bounds (each bound is then exactly H), bounds that are
+    mostly 1 (a target exponent of 0) and arbitrary bounds; an operand
+    is empty one time in eight."""
+    rng = random.Random(seed)
+    p = (2, 3, 5, 7)[seed % 4]
+    m = rng.randint(1, 3)
+    shape = seed // 4 % 3
+    if shape == 0:
+        bounds = [2 ** rng.randint(0, 3)] * m
+    elif shape == 1:
+        bounds = [rng.choice((1, 1, rng.randint(2, 5))) for _ in range(m)]
+    else:
+        bounds = [rng.randint(1, 9) for _ in range(m)]
+    ring = IntegersMod(p)
+
+    def poly():
+        size = 0 if rng.random() < 1 / 8 else rng.randint(1, 8)
+        terms = {
+            tuple(rng.randint(0, b) for b in bounds): rng.randrange(1, p)
+            for _ in range(size)
+        }
+        return Polynomial(ring, m, terms)
+
+    return _Box(bounds, p), poly(), poly()
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_box_product_matches_truncated_product(seed):
+    box, a, b = random_box_case(seed)
+    assert box.mul(box.pack(a), box.pack(b)) == box.pack(a * b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_box_product_cancellation(p):
+    ring = IntegersMod(p)
+    xy = ("x", "y")
+    box = _Box([p + 1, p + 1], p)
+    f = reduce_mod_p(parse("x+y", xy), p)
+    g = reduce_mod_p(parse("x-y", xy), p)
+    # the cross terms of (x+y)(x-y) cancel mod p
+    assert box.mul(box.pack(f), box.pack(g)) == box.pack(
+        Polynomial(ring, 2, {(2, 0): 1, (0, 2): -1})
+    )
+    # (x+y)**p = x**p + y**p: every middle binomial vanishes mod p
+    power = {0: 1}
+    for _ in range(p):
+        power = box.mul(power, box.pack(f))
+    assert power == {box.key((p, 0)): 1, box.key((0, p)): 1}
+    # a bound of 1 on y (a target exponent of 0) drops every term with y
+    thin = _Box([3, 1], p)
+    assert thin.pack(f) == {thin.key((1, 0)): 1}
+    assert thin.mul(thin.pack(f), thin.pack(f)) == {thin.key((2, 0)): 1}
+    assert thin.mul({}, thin.pack(f)) == {}

@@ -158,6 +158,12 @@ def test_nu_frozen(tag, p, e, expected):
     assert nu(fp_pair(p), e) == expected
 
 
+
+def test_nu_cubic_p7_e3_default_budgets():
+    # the truncated products fit the default term-operation budget
+    f = reduce_mod_p(parse_polynomial("x^3+y^3+z^3+x*y*z", XYZ), 7)
+    assert nu([f], 3, Budgets()) == 342
+
 def test_nu_monomial_identities():
     # (x): nu = q - 1
     for p, e in ((2, 3), (3, 2), (5, 1)):
