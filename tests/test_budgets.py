@@ -1,9 +1,10 @@
 """Exact budget edges of the metered oracles.
 
-Every polynomial product is charged len(a.terms) * len(b.terms) term
-operations before it is formed, and every candidate product one
-multiset, so a fixed input spends a fixed total: a cap equal to that
-total lets the call finish and a cap one below it stops the call.
+Every product inside a Frobenius box is charged len(a) * len(b) term
+operations of its truncated operands before it is formed, and every
+candidate product one multiset, so a fixed input spends a fixed total:
+a cap equal to that total lets the call finish and a cap one below it
+stops the call.
 """
 
 import pytest
@@ -30,18 +31,27 @@ CALLS = {
     ),
 }
 
+# (call, budget field, earlier cap, exact total). The earlier cap is
+# the total the call spent when products were charged on whole
+# polynomials; a budget that let the call finish then must still let it
+# finish. The exact total is what the call spends now.
 EDGES = [
-    ("nu", "max_terms", 7),
-    ("nu", "max_multisets", 7),
-    ("fvolume_count", "max_terms", 26),
-    ("fvolume_count", "max_multisets", 18),
-    ("coefficient_witness", "max_terms", 21),
+    ("nu", "max_terms", 38, 7),
+    ("nu", "max_multisets", 9, 7),
+    ("fvolume_count", "max_terms", 86, 26),
+    ("fvolume_count", "max_multisets", 25, 18),
+    ("coefficient_witness", "max_terms", 30, 21),
 ]
 
 
-@pytest.mark.parametrize("name,field,total", EDGES)
-def test_budget_edge(name, field, total):
+@pytest.mark.parametrize(
+    "name,field,cap,total",
+    EDGES,
+    ids=[f"{name}-{field}-{cap}" for name, field, cap, _ in EDGES],
+)
+def test_budget_edge(name, field, cap, total):
     call, expected = CALLS[name]
+    assert call(Budgets(**{field: cap})) == expected
     assert call(Budgets(**{field: total})) == expected
     with pytest.raises(BudgetExceeded):
         call(Budgets(**{field: total - 1}))
