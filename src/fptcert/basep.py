@@ -13,34 +13,9 @@ from fractions import Fraction
 from .errors import InputError
 
 
-class _Infinity:
-    """Order-compatible stand-in for an infinite carry horizon."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __hash__(self):
-        return hash("fptcert-infinity")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
+# The infinite carry horizon and truncation level: it compares above
+# every int, and no function that takes it returns a float.
+INFINITY = math.inf
 
 
 def is_prime(n):
@@ -161,7 +136,7 @@ def truncation(alpha, p, e):
     alpha = _as_fraction(alpha)
     if not (0 <= alpha <= 1):
         raise InputError("alpha must lie in [0, 1], got %s" % alpha)
-    if isinstance(e, _Infinity):
+    if e == INFINITY:
         return alpha
     if not isinstance(e, int) or e < 0:
         raise InputError("truncation level must be a nonnegative integer or INFINITY")
@@ -179,51 +154,43 @@ class CarryHorizon:
 
     @property
     def finite(self):
-        return not isinstance(self.value, _Infinity)
+        return self.value != INFINITY
 
     def to_json_value(self):
         return self.value if self.finite else "inf"
 
 
-def _streams_and_window(alphas, p, window_factor=1):
+def carry_horizon(block, p):
+    """CarryHorizon of one block: the largest S such that the digit sums
+    stay <= p - 1 at every level 1..S (level 0 never violates).  If no
+    level violates, the horizon is INFINITY.
+
+    The joint digit sequence is eventually periodic, so scanning one
+    full window (max preperiod plus the lcm of the period lengths)
+    decides every position."""
+    _check_base(p)
     streams = []
-    for alpha in alphas:
+    for alpha in block:
         alpha = _as_fraction(alpha)
         if not (0 <= alpha <= 1):
             raise InputError("entries must lie in [0, 1], got %s" % alpha)
         if alpha > 0:
             streams.append(digits(alpha, p))
-    if not streams:
-        return [], 0
-    longest = max(len(s.preperiod) for s in streams)
-    period = math.lcm(*[len(s.period) for s in streams])
-    return streams, longest + period * window_factor
-
-
-def carry_horizon(block, p, window_factor=1):
-    """CarryHorizon of one block: the largest S such that the digit sums
-    stay <= p - 1 at every level 1..S (level 0 never violates).  If no
-    level violates, the horizon is INFINITY."""
-    _check_base(p)
-    if window_factor < 1:
-        raise InputError("window_factor must be at least 1")
-    streams, window = _streams_and_window(block, p, window_factor)
+    window = 0
+    if streams:
+        window = max(len(s.preperiod) for s in streams) + math.lcm(
+            *[len(s.period) for s in streams]
+        )
     for k in range(1, window + 1):
         if sum(s.digit(k) for s in streams) > p - 1:
             return CarryHorizon(k - 1)
     return CarryHorizon(INFINITY)
 
 
-def adds_without_carrying(alphas, p, window_factor=1):
+def adds_without_carrying(alphas, p):
     """True when at every digit position the digits of the given
-    rationals sum to at most p - 1.
-
-    The joint digit sequence is eventually periodic, so scanning one
-    full window (max preperiod plus the lcm of the period lengths)
-    decides every position.  ``window_factor`` scans that many extra
-    periods; the answer must not depend on it.
-    """
-    return not carry_horizon(alphas, p, window_factor).finite
+    rationals sum to at most p - 1."""
+    return not carry_horizon(alphas, p).finite
 
 
 def multinomial_nonzero_mod_p(total, parts, p):
@@ -259,7 +226,7 @@ def in_P_rho_0(blocks, p):
     return all(results)
 
 
-def in_P_rho_inf(blocks, p, window_factor=1):
+def in_P_rho_inf(blocks, p):
     """Carry-free criterion: every block adds without carrying in
     base p."""
-    return all(adds_without_carrying(block, p, window_factor) for block in blocks)
+    return all(adds_without_carrying(block, p) for block in blocks)

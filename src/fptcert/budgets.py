@@ -59,8 +59,8 @@ class Meter:
         self.multisets = 0
         self.term_ops = 0
 
-    def charge_multisets(self, n=1):
-        self.multisets += n
+    def charge_multisets(self):
+        self.multisets += 1
         if self.multisets > self.budgets.max_multisets:
             raise BudgetExceeded(
                 "multiset budget exhausted (%d > %d)"

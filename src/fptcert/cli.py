@@ -279,8 +279,7 @@ def _cmd_digits(inp):
     return {
         "alpha": str(inp.alpha),
         "p": inp.p,
-        "preperiod": list(stream.preperiod),
-        "period": list(stream.period),
+        **stream.to_json_dict(),
         "prefix": list(stream.digits_prefix(inp.count)),
     }
 

@@ -2,8 +2,7 @@
 
 A polynomial is a term map: exponent tuple -> nonzero coefficient.  Two
 coefficient rings are supported, the rationals (Fraction coefficients)
-and the integers mod a prime p (int coefficients in [1, p-1] once
-normalized; zero terms are dropped).
+and the integers mod a prime p (int coefficients in [1, p-1]).
 """
 
 import operator
@@ -28,23 +27,6 @@ class Rationals:
         if isinstance(value, int):
             return Fraction(value)
         raise InputError("rational coefficient expected, got %r" % (value,))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -79,23 +61,6 @@ class IntegersMod:
             return value % self.p
         raise InputError("mod-%d coefficient expected, got %r" % (self.p, value))
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.p == self.p
 
@@ -116,7 +81,11 @@ def grlex_key(monomial):
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable-by-convention sparse polynomial.
+
+    The constructor is the one place that normalizes coefficients: it
+    coerces each through ``ring.coerce`` and drops the zeros, so the
+    arithmetic passes it plain, unreduced ints or Fractions."""
 
     __slots__ = ("ring", "varcount", "terms")
 
@@ -134,7 +103,7 @@ class Polynomial:
             if any(not isinstance(e, int) or e < 0 for e in monomial):
                 raise InputError("exponents must be nonnegative integers")
             c = ring.coerce(coeff)
-            if c != ring.zero:
+            if c:
                 clean[monomial] = c
         self.ring = ring
         self.varcount = varcount
@@ -146,12 +115,12 @@ class Polynomial:
 
     @classmethod
     def one(cls, ring, varcount):
-        return cls(ring, varcount, {(0,) * varcount: ring.one})
+        return cls(ring, varcount, {(0,) * varcount: 1})
 
     @classmethod
-    def monomial(cls, ring, exponents, coeff=None):
+    def monomial(cls, ring, exponents, coeff=1):
         exponents = tuple(exponents)
-        return cls(ring, len(exponents), {exponents: ring.one if coeff is None else coeff})
+        return cls(ring, len(exponents), {exponents: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -170,50 +139,27 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_compatible(other)
-        ring = self.ring
         terms = dict(self.terms)
         for mon, c in other.terms.items():
-            if mon in terms:
-                s = ring.add(terms[mon], c)
-                if s == ring.zero:
-                    del terms[mon]
-                else:
-                    terms[mon] = s
-            else:
-                terms[mon] = c
-        out = Polynomial.zero(ring, self.varcount)
-        out.terms = terms
-        return out
+            terms[mon] = terms.get(mon, 0) + c
+        return Polynomial(self.ring, self.varcount, terms)
 
     def __neg__(self):
-        ring = self.ring
-        out = Polynomial.zero(ring, self.varcount)
-        out.terms = {mon: ring.neg(c) for mon, c in self.terms.items()}
-        return out
+        return Polynomial(
+            self.ring, self.varcount, {mon: -c for mon, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check_compatible(other)
-        ring = self.ring
-        zero = ring.zero
         terms = {}
         for mon1, c1 in self.terms.items():
             for mon2, c2 in other.terms.items():
                 mon = tuple(a + b for a, b in zip(mon1, mon2))
-                c = ring.mul(c1, c2)
-                if mon in terms:
-                    s = ring.add(terms[mon], c)
-                    if s == zero:
-                        del terms[mon]
-                    else:
-                        terms[mon] = s
-                elif c != zero:
-                    terms[mon] = c
-        out = Polynomial.zero(ring, self.varcount)
-        out.terms = terms
-        return out
+                terms[mon] = terms.get(mon, 0) + c1 * c2
+        return Polynomial(self.ring, self.varcount, terms)
 
     def __pow__(self, n):
         return poly_pow(self, n)
@@ -321,15 +267,7 @@ def reduce_mod_p(a, p):
     """
     if a.ring != QQ:
         raise RingMismatch("reduce_mod_p expects rational coefficients")
-    ring = IntegersMod(p)
-    terms = {}
-    for mon, c in a.terms.items():
-        r = ring.coerce(c)
-        if r:
-            terms[mon] = r
-    out = Polynomial.zero(ring, a.varcount)
-    out.terms = terms
-    return out
+    return Polynomial(IntegersMod(p), a.varcount, a.terms)
 
 
 def support(a):
@@ -345,7 +283,7 @@ def coefficient_of(a, monomial):
             "monomial %r has %d entries, expected %d"
             % (monomial, len(monomial), a.varcount)
         )
-    return a.terms.get(monomial, a.ring.zero)
+    return a.terms.get(monomial, a.ring.coerce(0))
 
 
 def in_frobenius_power(a, e):
@@ -483,18 +421,12 @@ def parse_polynomial(text, variables):
 
     def accumulate(sign):
         coeff, mon = _parse_term(scanner, index, m)
-        coeff = sign * coeff
-        prev = terms.get(mon)
-        total = coeff if prev is None else prev + coeff
-        if total == 0:
-            terms.pop(mon, None)
-        else:
-            terms[mon] = total
+        terms[mon] = terms.get(mon, 0) + sign * coeff
 
-    sign = Fraction(1)
+    sign = 1
     if scanner.peek() == "-":
         scanner.pos += 1
-        sign = Fraction(-1)
+        sign = -1
     elif scanner.peek() == "+":
         raise ParseError("a polynomial cannot start with '+'", scanner.pos)
     accumulate(sign)
@@ -504,10 +436,10 @@ def parse_polynomial(text, variables):
             break
         if ch == "+":
             scanner.pos += 1
-            accumulate(Fraction(1))
+            accumulate(1)
         elif ch == "-":
             scanner.pos += 1
-            accumulate(Fraction(-1))
+            accumulate(-1)
         else:
             raise ParseError("unexpected character %r" % ch, scanner.pos)
     return Polynomial(QQ, m, terms)

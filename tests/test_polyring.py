@@ -156,6 +156,15 @@ def test_pow_square_and_multiply():
         poly_pow(f, -1)
 
 
+def assert_normalized(a):
+    """GF(p) coefficients are ints in [1, p-1], QQ ones nonzero Fractions."""
+    for c in a.terms.values():
+        if a.ring == QQ:
+            assert isinstance(c, Fraction) and c != 0
+        else:
+            assert type(c) is int and 1 <= c <= a.ring.p - 1
+
+
 def test_random_ring_laws():
     rng = random.Random(7)
 
@@ -163,14 +172,25 @@ def test_random_ring_laws():
         terms = {}
         for _ in range(rng.randint(1, 4)):
             mon = tuple(rng.randint(0, 3) for _ in range(2))
-            terms[mon] = Fraction(rng.randint(-4, 4))
+            terms[mon] = Fraction(rng.randint(-4, 4), rng.choice([1, 7]))
         return Polynomial(QQ, 2, terms)
 
-    for _ in range(40):
-        a, b, c = random_poly(), random_poly(), random_poly()
-        assert a * (b + c) == a * b + a * c
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
+    for ring in (QQ, IntegersMod(2), IntegersMod(3), IntegersMod(5)):
+        for _ in range(40):
+            rational = [random_poly(), random_poly(), random_poly()]
+            a, b, c = rational
+            if ring != QQ:
+                a, b, c = (reduce_mod_p(f, ring.p) for f in rational)
+                f, g = rational[:2]
+                assert reduce_mod_p(f + g, ring.p) == a + b
+                assert reduce_mod_p(f * g, ring.p) == a * b
+                assert reduce_mod_p(-f, ring.p) == -a
+            assert a * (b + c) == a * b + a * c
+            assert (a + b) + c == a + (b + c)
+            assert a * b == b * a
+            assert a - a == Polynomial.zero(ring, 2)
+            for result in (a + b, a * b, -a, a - b, a * (b + c)):
+                assert_normalized(result)
 
 
 def test_integers_mod_coercion():

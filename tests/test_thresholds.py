@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptcert.basep import INFINITY, CarryHorizon
+from fptcert.basep import INFINITY, CarryHorizon, truncation
 from fptcert.budgets import Budgets
 from fptcert.errors import (
     BudgetExceeded,
@@ -14,6 +14,7 @@ from fptcert.errors import (
     NonUniqueMaximalPoint,
     RingMismatch,
 )
+from fptcert.fvolume import fvolume_lower_bound
 from fptcert.polyring import QQ, Polynomial, parse_polynomial, reduce_mod_p
 from fptcert.thresholds import (
     CASE_DIAGONAL_ABOVE_T,
@@ -91,6 +92,19 @@ def test_fpt_bound_structure_at_two():
         "S": [1, "inf"],
         "I": [0],
     }
+
+
+@pytest.mark.parametrize("p", [2, 7])  # block 1 carries at 2, nothing at 7
+def test_infinite_level_results_are_fractions(p):
+    # INFINITY is math.inf; a float result would still compare equal
+    # to the frozen Fractions (1.0 == Fraction(1)), so check the types.
+    cert = fpt_bound(pair(), p)
+    assert isinstance(cert.value, Fraction)
+    assert isinstance(witness_floor(cert, INFINITY), Fraction)
+    assert isinstance(fvolume_lower_bound(pair(), p).bound, Fraction)
+    for block in cert.rho_blocks:
+        for a in block:
+            assert isinstance(truncation(a, p, INFINITY), Fraction)
 
 
 def test_fpt_bound_accepts_prime_field_generators():
