@@ -8,6 +8,7 @@ polytope is {gamma >= 0 : E gamma <= 1}.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,13 +16,14 @@ from .budgets import Budgets, Meter
 from .errors import (
     DimensionTooLarge,
     EmptyBlock,
+    FptcertError,
     InputError,
     NotDiagonal,
     NotInMaximalIdeal,
     RingMismatch,
 )
 from .polyring import Polynomial, grlex_key
-from .simplex import LpInfeasible, solve_lp
+from .simplex import LpInfeasible, _optimal_dictionary, solve_lp
 
 __all__ = [
     "ReducedMapping",
@@ -176,6 +178,7 @@ class MaximalPointCert:
     unique: bool
     block_sizes: tuple
     coordinate_ranges: tuple  # (low, high) per coordinate on the face
+    dual: tuple  # row weights y with E^T y >= 1, y >= 0, |y| = M
 
     @property
     def blocks_of_rho(self):
@@ -191,33 +194,53 @@ class MaximalPointCert:
 
 
 def maximal_point(matrix):
-    """Maximize |gamma| over the polytope and decide whether the optimal
-    face is a single point, by minimizing and maximizing every
-    coordinate over that face."""
-    N = matrix.width
-    base_rows = [list(r) for r in matrix.rows]
-    base_rhs = [Fraction(1)] * matrix.varcount
-    M, _ = solve_lp([Fraction(1)] * N, base_rows, base_rhs)
-
-    face_rows = base_rows + [[Fraction(-1)] * N]
-    face_rhs = base_rhs + [-M]
-    ranges = []
-    for j in range(N):
-        obj = [Fraction(0)] * N
-        obj[j] = Fraction(1)
-        high, _ = solve_lp(obj, face_rows, face_rhs)
-        obj[j] = Fraction(-1)
-        negated_low, _ = solve_lp(obj, face_rows, face_rhs)
-        ranges.append((-negated_low, high))
-    unique = all(lo == hi for lo, hi in ranges)
-    rho = tuple(hi for _, hi in ranges) if unique else None
+    """Maximize |gamma| over the polytope and decide the optimal face
+    from one optimal dictionary.  Nonbasic variables with a negative
+    reduced cost vanish on that face, so it is one point exactly when
+    those with a zero reduced cost (Z) vanish on all of it: one LP over
+    the Z columns, warm-started.  Only a face that is not a point needs
+    coordinate ranges, LPs over the same columns.  The dual read off
+    the slack columns certifies M."""
+    N, m, rows = matrix.width, matrix.varcount, matrix.rows
+    dictionary = _optimal_dictionary([1] * N, rows, [1] * m)
+    M = dictionary.obj[0]
+    point = tuple(dictionary.values(range(N)))
+    reduced = dictionary.duals(range(N + m))
+    dual = tuple(reduced[N:])
+    _check_dual_certificate(rows, point, dual, M)
+    zero = {v for v in dictionary.nonbasic if reduced[v] == 0}
+    dictionary.restrict(zero)
+    unique = not zero or dictionary.maximize(dict.fromkeys(zero, 1)) == 0
+    if unique:
+        ranges = tuple((v, v) for v in point)
+    else:
+        ranges = tuple(
+            (-dictionary.maximize({j: -1}), dictionary.maximize({j: 1}))
+            for j in range(N)
+        )
     return MaximalPointCert(
         M=M,
-        rho=rho,
+        rho=point if unique else None,
         unique=unique,
         block_sizes=matrix.block_sizes,
-        coordinate_ranges=tuple(ranges),
+        coordinate_ranges=ranges,
+        dual=dual,
     )
+
+
+def _check_dual_certificate(rows, gamma, y, M):
+    """Raise unless E gamma <= 1, gamma >= 0, E^T y >= 1, y >= 0 and
+    |gamma| = |y| = M, so that M is the maximum by weak duality."""
+    # Scaled by the lcm of the denominators, the sums are exact int sums.
+    scale = math.lcm(*(v.denominator for v in gamma + y))
+    G, Y = ([v.numerator * (scale // v.denominator) for v in vec] for vec in (gamma, y))
+    feasible = (
+        min(G) >= 0 and min(Y) >= 0
+        and all(sum(a * g for a, g in zip(row, G)) <= scale for row in rows)
+        and all(sum(a * v for a, v in zip(col, Y)) >= scale for col in zip(*rows))
+    )
+    if not feasible or sum(G) != M * scale or sum(Y) != M * scale:
+        raise FptcertError("internal: the dual certificate of M = %s fails" % M)
 
 
 def _solve_square(rows, rhs):

@@ -117,11 +117,6 @@ class Polynomial:
     def one(cls, ring, varcount):
         return cls(ring, varcount, {(0,) * varcount: 1})
 
-    @classmethod
-    def monomial(cls, ring, exponents, coeff=1):
-        exponents = tuple(exponents)
-        return cls(ring, len(exponents), {exponents: coeff})
-
     def is_zero(self):
         return not self.terms
 

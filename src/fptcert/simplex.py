@@ -80,6 +80,38 @@ class _Dictionary:
                 raise LpUnbounded("objective is unbounded")
             self.pivot(best[2], enter)
 
+    def maximize(self, c):
+        """Optimize sum c[v] x_v (c: variable id -> coefficient; a dropped
+        column counts as 0) from the current feasible basis."""
+        column = {vid: j for j, vid in enumerate(self.nonbasic)}
+        row_of = dict(zip(self.basic, self.rows))
+        self.obj = obj = [Fraction(0)] * (1 + len(self.nonbasic))
+        for vid, coeff in c.items():
+            if vid in column:
+                obj[1 + column[vid]] += coeff
+            elif coeff and vid in row_of:
+                for j, a in enumerate(row_of[vid]):
+                    obj[j] += coeff * a
+        self.optimize()
+        return self.obj[0]
+
+    def restrict(self, keep):
+        """Fix the nonbasic variables outside ``keep`` at 0 (drop them)."""
+        cols = [j for j, vid in enumerate(self.nonbasic) if vid in keep]
+        self.nonbasic = [self.nonbasic[j] for j in cols]
+        self.rows = [[row[0]] + [row[1 + j] for j in cols] for row in self.rows]
+        self.obj = [self.obj[0]] + [self.obj[1 + j] for j in cols]
+
+    def values(self, vids):
+        """Values of the given variables at the basic solution."""
+        at = {vid: row[0] for vid, row in zip(self.basic, self.rows)}
+        return [at.get(vid, Fraction(0)) for vid in vids]
+
+    def duals(self, vids):
+        """Negated reduced costs (0 when basic); on slacks, the row duals."""
+        cost = dict(zip(self.nonbasic, self.obj[1:]))
+        return [-cost.get(vid, Fraction(0)) for vid in vids]
+
 
 def solve_lp(objective, lhs, rhs):
     """Maximize objective.x subject to lhs x <= rhs, x >= 0.
@@ -87,6 +119,13 @@ def solve_lp(objective, lhs, rhs):
     Returns (optimal value, x) as Fractions.  Raises LpInfeasible or
     LpUnbounded when appropriate.
     """
+    dictionary = _optimal_dictionary(objective, lhs, rhs)
+    return dictionary.obj[0], dictionary.values(range(len(objective)))
+
+
+def _optimal_dictionary(objective, lhs, rhs):
+    """Optimal dictionary of max objective.x subject to lhs x <= rhs,
+    x >= 0.  Variable ids 0..n-1 are x and n..n+m-1 the row slacks."""
     n = len(objective)
     m = len(lhs)
     c = [Fraction(v) for v in objective]
@@ -102,33 +141,9 @@ def solve_lp(objective, lhs, rhs):
     if any(v < 0 for v in b):
         _phase_one(nonbasic, basic, rows, n, m)
 
-    obj = _express_objective(c, nonbasic, basic, rows)
-    dictionary = _Dictionary(nonbasic, basic, rows, obj)
-    dictionary.optimize()
-
-    x = [Fraction(0)] * n
-    for i, vid in enumerate(dictionary.basic):
-        if vid < n:
-            x[vid] = dictionary.rows[i][0]
-    return dictionary.obj[0], x
-
-
-def _express_objective(c, nonbasic, basic, rows):
-    obj = [Fraction(0)] * (1 + len(nonbasic))
-    position = {vid: ("n", j) for j, vid in enumerate(nonbasic)}
-    position.update({vid: ("b", i) for i, vid in enumerate(basic)})
-    for vid, coeff in enumerate(c):
-        if coeff == 0:
-            continue
-        kind, where = position[vid]
-        if kind == "n":
-            obj[1 + where] += coeff
-        else:
-            row = rows[where]
-            obj[0] += coeff * row[0]
-            for j in range(len(nonbasic)):
-                obj[1 + j] += coeff * row[1 + j]
-    return obj
+    dictionary = _Dictionary(nonbasic, basic, rows, None)
+    dictionary.maximize(dict(enumerate(c)))
+    return dictionary
 
 
 def _phase_one(nonbasic, basic, rows, n, m):
@@ -138,14 +153,10 @@ def _phase_one(nonbasic, basic, rows, n, m):
     nonbasic.append(aux)
     for row in rows:
         row.append(Fraction(1))
-    obj = [Fraction(0)] * (1 + len(nonbasic))
-    obj[len(nonbasic)] = Fraction(-1)  # maximize -aux
-
-    dictionary = _Dictionary(nonbasic, basic, rows, obj)
+    dictionary = _Dictionary(nonbasic, basic, rows, [Fraction(0)] * (1 + len(nonbasic)))
     worst = min(range(m), key=lambda i: (rows[i][0], basic[i]))
     dictionary.pivot(worst, len(nonbasic) - 1)
-    dictionary.optimize()
-    if dictionary.obj[0] != 0:
+    if dictionary.maximize({aux: -1}) != 0:
         raise LpInfeasible("constraints admit no nonnegative solution")
 
     if aux in basic:

@@ -45,7 +45,6 @@ from .polyring import (
     _Box,
     _power,
     reduce_mod_p,
-    support,
 )
 
 KIND_EXACT = "exact"
@@ -519,15 +518,6 @@ def lct_fpt_classifier(generators):
             % len(free),
             free_coordinates=free,
             coordinate_ranges=cert.coordinate_ranges,
-        )
-    union_support = set()
-    for g in generators:
-        union_support |= set(support(g))
-    dual = monomial_fpt(union_support)
-    if dual != cert.M:
-        raise FptcertError(
-            "internal: polytope maximum %s disagrees with the Newton "
-            "polyhedron dual %s" % (cert.M, dual)
         )
     rho_blocks = cert.blocks_of_rho
     sums = tuple(sum(block, Fraction(0)) for block in rho_blocks)

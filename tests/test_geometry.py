@@ -1,6 +1,7 @@
 """Reduced support lists, exponent matrices, the splitting polytope,
 and the diagonal of the Newton polyhedron."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from fptcert.errors import (
     BudgetExceeded,
     DimensionTooLarge,
     EmptyBlock,
+    FptcertError,
     InputError,
     NotDiagonal,
     NotInMaximalIdeal,
@@ -18,6 +20,7 @@ from fptcert.errors import (
 )
 from fptcert.geometry import (
     ExponentMatrix,
+    _check_dual_certificate,
     diagonal_face_columns,
     diagonal_position,
     exponent_matrix,
@@ -28,6 +31,7 @@ from fptcert.geometry import (
     vertices,
 )
 from fptcert.polyring import parse_polynomial, reduce_mod_p, support
+from fptcert.simplex import _optimal_dictionary, solve_lp
 
 XYZ = ("x", "y", "z")
 
@@ -293,3 +297,110 @@ def test_duality_on_random_matrices():
             varcount=m, columns=tuple(sorted(columns)), block_sizes=(n,)
         )
         assert maximal_point(matrix).M == 1 / newton_min_diagonal(columns)
+
+
+def _face_sweep(matrix):
+    """Reference maximal point: one cold solve for M, then a cold
+    minimum and maximum of every coordinate over the optimal face
+    {E gamma <= 1, gamma >= 0, |gamma| >= M}.  Returns (M, rho, unique,
+    coordinate_ranges)."""
+    N = matrix.width
+    base_rows = [list(r) for r in matrix.rows]
+    base_rhs = [Fraction(1)] * matrix.varcount
+    M, _ = solve_lp([Fraction(1)] * N, base_rows, base_rhs)
+    face_rows = base_rows + [[Fraction(-1)] * N]
+    face_rhs = base_rhs + [-M]
+    ranges = []
+    for j in range(N):
+        obj = [Fraction(0)] * N
+        obj[j] = Fraction(1)
+        high, _ = solve_lp(obj, face_rows, face_rhs)
+        obj[j] = Fraction(-1)
+        negated_low, _ = solve_lp(obj, face_rows, face_rhs)
+        ranges.append((-negated_low, high))
+    unique = all(lo == hi for lo, hi in ranges)
+    rho = tuple(hi for _, hi in ranges) if unique else None
+    return M, rho, unique, tuple(ranges)
+
+
+def _random_matrix(rng):
+    """Distinct nonzero columns with entries in 0..top and random block
+    cuts.  A quarter of the matrices repeat a row, which leaves
+    (top+1)^(m-1) - 1 possible columns; N is capped by that count."""
+    m = rng.randint(1, 4)
+    repeat = rng.sample(range(m), 2) if m > 1 and rng.random() < 0.25 else None
+    top = rng.choice((1, 3, 3))
+    n = rng.randint(1, min(7, (top + 1) ** (m - (repeat is not None)) - 1))
+    columns = []
+    while len(columns) < n:
+        col = [rng.randint(0, top) for _ in range(m)]
+        if repeat:
+            col[repeat[1]] = col[repeat[0]]
+        if any(col) and tuple(col) not in columns:
+            columns.append(tuple(col))
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return ExponentMatrix(varcount=m, columns=tuple(columns), block_sizes=sizes)
+
+
+def test_maximal_point_matches_face_sweep():
+    """The one-dictionary decision against the 2N-solve face sweep, on
+    seeded matrices that reach every branch: Z (the nonbasic variables
+    with zero reduced cost) empty, only slacks, or holding a
+    coordinate, with unique and non-unique faces."""
+    rng = random.Random(20261018)
+    kinds = collections.Counter()
+    for _ in range(500):
+        matrix = _random_matrix(rng)
+        cert = maximal_point(matrix)
+        assert (cert.M, cert.rho, cert.unique, cert.coordinate_ranges) == _face_sweep(
+            matrix
+        ), matrix
+        N, m = matrix.width, matrix.varcount
+        dictionary = _optimal_dictionary([1] * N, matrix.rows, [1] * m)
+        reduced = dictionary.duals(range(N + m))
+        zero = [v for v in dictionary.nonbasic if reduced[v] == 0]
+        z_kind = "empty" if not zero else "slacks" if min(zero) >= N else "mixed"
+        kinds[z_kind, cert.unique] += 1
+    assert kinds["empty", False] == 0
+    for key in (("empty", True), ("slacks", True), ("slacks", False),
+                ("mixed", True), ("mixed", False)):
+        assert kinds[key] >= 5, kinds
+
+
+def n9():
+    return gens(
+        "x^2+y^3+z*w", "y^2+z^3+x*w", "z^2+w^3+x*y", variables=("x", "y", "z", "w")
+    )
+
+
+def test_dual_certificate_accepts_frozen_examples():
+    for generators in (pair(), n9()):
+        matrix = matrix_of(generators)
+        cert = maximal_point(matrix)
+        value, vertex = lp_maximize((1,) * matrix.width, matrix)
+        assert value == cert.M and len(cert.dual) == matrix.varcount
+        rho = cert.rho if cert.unique else vertex
+        _check_dual_certificate(matrix.rows, rho, cert.dual, cert.M)
+
+
+def test_dual_certificate_rejects_perturbations():
+    matrix = matrix_of(pair())
+    cert = maximal_point(matrix)
+    rho, y, M, eps = cert.rho, cert.dual, cert.M, Fraction(1, 97)
+
+    def moved(vector, i, j=None):
+        out = list(vector)
+        out[i] += eps
+        if j is not None:
+            out[j] -= eps  # keeps the sum, so only feasibility can fail
+        return tuple(out)
+
+    bad = [(moved(rho, i), y, M) for i in range(3)]
+    bad += [(moved(rho, i, j), y, M) for i in range(3) for j in range(3) if i != j]
+    bad += [(rho, moved(y, i), M) for i in range(3)]
+    bad += [(rho, moved(y, i, j), M) for i in range(3) for j in range(3) if i != j]
+    bad += [(rho, y, M + eps), (rho, y, M - eps), (rho, y, 2 * M)]
+    for gamma, dual, value in bad:
+        with pytest.raises(FptcertError, match="internal"):
+            _check_dual_certificate(matrix.rows, gamma, dual, value)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptcert.simplex import LpInfeasible, LpUnbounded, solve_lp
+from fptcert.simplex import LpInfeasible, LpUnbounded, _optimal_dictionary, solve_lp
 
 
 def F(x):
@@ -129,20 +129,26 @@ def _brute_force_max(objective, lhs, rhs):
     return best
 
 
-def test_random_programs_match_vertex_enumeration():
-    rng = random.Random(20260816)
-    for _ in range(60):
+def _random_programs(seed, count):
+    """Seeded (objective, lhs, rhs) with 1-3 variables and 1-3 random
+    rows; box rows keep every instance bounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
         lhs = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [F(rng.randint(-2, 4)) for _ in range(m)]
-        # box rows keep every instance bounded
         for j in range(n):
             unit = [F(0)] * n
             unit[j] = F(1)
             lhs.append(unit)
             rhs.append(F(5))
         objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        yield objective, lhs, rhs
+
+
+def test_random_programs_match_vertex_enumeration():
+    for objective, lhs, rhs in _random_programs(20260816, 60):
         expected = _brute_force_max(objective, lhs, rhs)
         if expected is None:
             with pytest.raises(LpInfeasible):
@@ -154,3 +160,24 @@ def test_random_programs_match_vertex_enumeration():
         for row, b in zip(lhs, rhs):
             assert sum(c * v for c, v in zip(row, x)) <= b
         assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+def test_random_programs_dual_from_optimal_dictionary():
+    """The negated reduced costs of the slack columns in the optimal
+    dictionary are an optimal dual: y >= 0, A^T y >= c, b.y = max."""
+    checked = 0
+    # the first 60 are the programs of the vertex-enumeration test above
+    for objective, lhs, rhs in _random_programs(20260816, 200):
+        if any(b < 0 for b in rhs):
+            continue
+        n, m = len(objective), len(lhs)
+        dictionary = _optimal_dictionary(objective, lhs, rhs)
+        y = dictionary.duals(range(n, n + m))
+        assert all(v >= 0 for v in y)
+        for j in range(n):
+            assert sum(row[j] * v for row, v in zip(lhs, y)) >= objective[j]
+        value = sum(b * v for b, v in zip(rhs, y))
+        assert value == dictionary.obj[0] == _brute_force_max(objective, lhs, rhs)
+        assert (value, dictionary.values(range(n))) == solve_lp(objective, lhs, rhs)
+        checked += 1
+    assert checked >= 60
