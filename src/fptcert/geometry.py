@@ -23,7 +23,7 @@ from .errors import (
     RingMismatch,
 )
 from .polyring import Polynomial, grlex_key
-from .simplex import LpInfeasible, _optimal_dictionary, solve_lp
+from .simplex import _optimal_dictionary, solve_lp
 
 __all__ = [
     "ReducedMapping",
@@ -193,30 +193,38 @@ class MaximalPointCert:
         )
 
 
+def _optimal_face(rows, width):
+    """Solve max |mu| over {mu >= 0 : E mu <= 1} once (E: the m ``rows``
+    of ``width`` columns) and restrict the optimal dictionary to its
+    optimal face.  Nonbasic variables with a negative reduced cost
+    vanish on that face, so only those with a zero reduced cost stay
+    nonbasic.  Returns (face dictionary, M, vertex, dual); the dual
+    read off the slack columns certifies M."""
+    dictionary = _optimal_dictionary([1] * width, rows, [1] * len(rows))
+    M = dictionary.obj[0]
+    vertex = tuple(dictionary.values(range(width)))
+    reduced = dictionary.duals(range(width + len(rows)))
+    dual = tuple(reduced[width:])
+    _check_dual_certificate(rows, vertex, dual, M)
+    dictionary.restrict({v for v in dictionary.nonbasic if reduced[v] == 0})
+    return dictionary, M, vertex, dual
+
+
 def maximal_point(matrix):
     """Maximize |gamma| over the polytope and decide the optimal face
-    from one optimal dictionary.  Nonbasic variables with a negative
-    reduced cost vanish on that face, so it is one point exactly when
-    those with a zero reduced cost (Z) vanish on all of it: one LP over
-    the Z columns, warm-started.  Only a face that is not a point needs
-    coordinate ranges, LPs over the same columns.  The dual read off
-    the slack columns certifies M."""
-    N, m, rows = matrix.width, matrix.varcount, matrix.rows
-    dictionary = _optimal_dictionary([1] * N, rows, [1] * m)
-    M = dictionary.obj[0]
-    point = tuple(dictionary.values(range(N)))
-    reduced = dictionary.duals(range(N + m))
-    dual = tuple(reduced[N:])
-    _check_dual_certificate(rows, point, dual, M)
-    zero = {v for v in dictionary.nonbasic if reduced[v] == 0}
-    dictionary.restrict(zero)
-    unique = not zero or dictionary.maximize(dict.fromkeys(zero, 1)) == 0
+    from one optimal dictionary (``_optimal_face``).  The face is one
+    point exactly when the nonbasic variables with a zero reduced cost
+    (Z) vanish on all of it: one LP over the Z columns, warm-started.
+    Only a face that is not a point needs coordinate ranges, LPs over
+    the same columns."""
+    N = matrix.width
+    face, M, point, dual = _optimal_face(matrix.rows, N)
+    unique = not face.nonbasic or face.maximize(dict.fromkeys(face.nonbasic, 1)) == 0
     if unique:
         ranges = tuple((v, v) for v in point)
     else:
         ranges = tuple(
-            (-dictionary.maximize({j: -1}), dictionary.maximize({j: 1}))
-            for j in range(N)
+            (-face.maximize({j: -1}), face.maximize({j: 1})) for j in range(N)
         )
     return MaximalPointCert(
         M=M,
@@ -265,10 +273,11 @@ def _solve_square(rows, rhs):
 def vertices(matrix, budgets=None):
     """All vertices of the splitting polytope, sorted lexicographically.
 
-    Every vertex satisfies N linearly independent tight constraints
-    drawn from the m matrix rows and the N sign conditions.  The cap on
-    N comes from the dimension budget; the number of candidate bases is
-    charged against the multiset budget.
+    With the row slacks, the polytope is {z >= 0 : [E | I] z = 1}, and
+    its vertices are the basic solutions z >= 0: m of the N + m columns
+    forming an invertible m x m system.  The cap on N comes from the
+    dimension budget; each of the C(N + m, m) candidate bases is charged
+    against the multiset budget.
     """
     budgets = budgets if budgets is not None else Budgets.from_env()
     N = matrix.width
@@ -278,37 +287,26 @@ def vertices(matrix, budgets=None):
             "polytope dimension %d exceeds the cap %d" % (N, budgets.max_dimension)
         )
     meter = Meter(budgets)
-    rows = [list(r) for r in matrix.rows]
-    constraints = [(rows[i], Fraction(1)) for i in range(m)]
-    for j in range(N):
-        unit = [Fraction(0)] * N
-        unit[j] = Fraction(-1)
-        constraints.append((unit, Fraction(0)))
-
-    found = {}
-    for combo in itertools.combinations(range(len(constraints)), N):
+    augmented = [
+        row + tuple(int(i == r) for r in range(m)) for i, row in enumerate(matrix.rows)
+    ]
+    found = set()
+    for basis in itertools.combinations(range(N + m), m):
         meter.charge_multisets()
-        system = [constraints[k][0] for k in combo]
-        rhs = [constraints[k][1] for k in combo]
-        point = _solve_square(system, rhs)
-        if point is None:
+        z = _solve_square([[row[j] for j in basis] for row in augmented], [1] * m)
+        if z is None or min(z) < 0:
             continue
-        if any(v < 0 for v in point):
-            continue
-        if any(
-            sum(c * v for c, v in zip(rows[i], point)) > 1 for i in range(m)
-        ):
-            continue
-        found[tuple(point)] = True
+        values = dict(zip(basis, z))
+        found.add(tuple(values.get(j, Fraction(0)) for j in range(N)))
     return sorted(found)
 
 
 def _dedupe_supports(supports):
     cleaned = set()
     for vector in supports:
-        vector = tuple(int(v) for v in vector)
-        if any(v < 0 for v in vector):
-            raise InputError("support vectors must be nonnegative")
+        vector = tuple(vector)
+        if any(not isinstance(v, int) or v < 0 for v in vector):
+            raise InputError("support vectors must have nonnegative integer entries")
         if not any(vector):
             raise NotInMaximalIdeal("support contains the zero vector")
         cleaned.add(vector)
@@ -320,64 +318,41 @@ def _dedupe_supports(supports):
     return sorted(cleaned)
 
 
-def _diagonal_system(points, scale):
-    """Constraint rows for {lambda >= 0 : sum lambda = 1,
-    sum lambda_a a = scale * 1} written as inequality pairs."""
-    m = len(points[0])
-    k = len(points)
-    rows = []
-    rhs = []
-    for i in range(m):
-        coords = [Fraction(a[i]) for a in points]
-        rows.append(coords)
-        rhs.append(Fraction(scale))
-        rows.append([-c for c in coords])
-        rhs.append(-Fraction(scale))
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(-1)] * k)
-    rhs.append(Fraction(-1))
-    return rows, rhs
+def _newton_face(points):
+    """``_optimal_face`` with the support points as the columns of E.
+    Writing mu = lambda / s turns {lambda >= 0 : sum lambda = 1,
+    sum lambda_a a <= s (1, ..., 1)} into {mu >= 0 : E mu <= 1} with
+    |mu| = 1 / s, so the smallest diagonal point of the Newton
+    polyhedron is (1/M, ..., 1/M)."""
+    return _optimal_face(tuple(zip(*points)), len(points))
+
+
+def _diagonal_face(points):
+    """The optimal points mu with every row tight, E mu = 1: those are
+    M times the convex combinations of the points equal to
+    (1/M, ..., 1/M).  Returns the face dictionary restricted to them,
+    or None when there are none."""
+    k, m = len(points), len(points[0])
+    face = _newton_face(points)[0]
+    if face.maximize(dict.fromkeys(range(k, k + m), -1)) != 0:
+        return None
+    reduced = face.duals(face.nonbasic)
+    face.restrict({v for v, r in zip(face.nonbasic, reduced) if r == 0})
+    return face
 
 
 def newton_min_diagonal(supports):
     """The smallest s with (s, ..., s) inside the Newton polyhedron of
-    the support set: minimize s over convex combinations dominated by
-    the diagonal."""
-    points = _dedupe_supports(supports)
-    k = len(points)
-    m = len(points[0])
-    # Variables: lambda_1..lambda_k, s.  Maximize -s subject to
-    # sum lambda_a a_i - s <= 0 per coordinate and sum lambda = 1.
-    rows = []
-    rhs = []
-    for i in range(m):
-        rows.append([Fraction(a[i]) for a in points] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(-1)] * k + [Fraction(0)])
-    rhs.append(Fraction(-1))
-    objective = [Fraction(0)] * k + [Fraction(-1)]
-    value, _ = solve_lp(objective, rows, rhs)
-    s_star = -value
-    if s_star <= 0:
-        raise InputError("support vectors must be nonzero")
-    return s_star
+    the support set, 1 / M for the maximum M of |mu| over
+    {mu >= 0 : E mu <= 1} (``_newton_face``)."""
+    return 1 / _newton_face(_dedupe_supports(supports))[1]
 
 
 def diagonal_position(supports):
     """Whether the diagonal ray meets a compact face of the Newton
     polyhedron: the point s* (1, ..., 1) must be a convex combination
     of the support vectors themselves, with no recession part."""
-    points = _dedupe_supports(supports)
-    s_star = newton_min_diagonal(points)
-    rows, rhs = _diagonal_system(points, s_star)
-    try:
-        solve_lp([Fraction(0)] * len(points), rows, rhs)
-    except LpInfeasible:
-        return False
-    return True
+    return _diagonal_face(_dedupe_supports(supports)) is not None
 
 
 def diagonal_face_columns(matrix):
@@ -389,20 +364,10 @@ def diagonal_face_columns(matrix):
     if len(set(columns)) != len(columns):
         raise InputError("exponent matrix columns must be distinct")
     points = _dedupe_supports(columns)
-    s_star = newton_min_diagonal(points)
-    rows, rhs = _diagonal_system(points, s_star)
-    k = len(points)
-    weights = {}
-    try:
-        for idx, point in enumerate(points):
-            objective = [Fraction(0)] * k
-            objective[idx] = Fraction(1)
-            best, _ = solve_lp(objective, rows, rhs)
-            weights[point] = best
-    except LpInfeasible:
+    face = _diagonal_face(points)
+    if face is None:
         raise NotDiagonal(
             "the diagonal ray misses every compact face of the Newton polyhedron"
         )
-    return tuple(
-        j for j, col in enumerate(columns) if weights[col] > 0
-    )
+    on_face = {point for j, point in enumerate(points) if face.maximize({j: 1}) > 0}
+    return tuple(j for j, col in enumerate(columns) if col in on_face)

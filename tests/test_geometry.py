@@ -2,6 +2,8 @@
 and the diagonal of the Newton polyhedron."""
 
 import collections
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from fptcert.errors import (
 from fptcert.geometry import (
     ExponentMatrix,
     _check_dual_certificate,
+    _solve_square,
     diagonal_face_columns,
     diagonal_position,
     exponent_matrix,
@@ -31,7 +34,7 @@ from fptcert.geometry import (
     vertices,
 )
 from fptcert.polyring import parse_polynomial, reduce_mod_p, support
-from fptcert.simplex import _optimal_dictionary, solve_lp
+from fptcert.simplex import LpInfeasible, _optimal_dictionary, solve_lp
 
 XYZ = ("x", "y", "z")
 
@@ -224,6 +227,9 @@ def test_newton_min_diagonal_validation():
         newton_min_diagonal({(0, 0)})
     with pytest.raises(InputError):
         newton_min_diagonal({(1, 0), (1, 0, 0)})
+    for bad in ((1.5, 2), (Fraction(1, 2), 1), ("3", 1), (2.0, 1)):
+        with pytest.raises(InputError):
+            newton_min_diagonal({bad})
 
 
 def test_diagonal_position():
@@ -404,3 +410,125 @@ def test_dual_certificate_rejects_perturbations():
     for gamma, dual, value in bad:
         with pytest.raises(FptcertError, match="internal"):
             _check_dual_certificate(matrix.rows, gamma, dual, value)
+
+
+def _diagonal_system(points, scale):
+    """Constraint rows for {lambda >= 0 : sum lambda = 1,
+    sum lambda_a a = scale * 1} written as inequality pairs."""
+    m = len(points[0])
+    k = len(points)
+    rows = []
+    rhs = []
+    for i in range(m):
+        coords = [Fraction(a[i]) for a in points]
+        rows.append(coords)
+        rhs.append(Fraction(scale))
+        rows.append([-c for c in coords])
+        rhs.append(-Fraction(scale))
+    rows.append([Fraction(1)] * k)
+    rhs.append(Fraction(1))
+    rows.append([Fraction(-1)] * k)
+    rhs.append(Fraction(-1))
+    return rows, rhs
+
+
+def _phase_one_newton(columns):
+    """Reference Newton side on distinct nonzero columns, in the
+    lambda form with phase-one programs: s* minimizes s over convex
+    combinations dominated by s (1, ..., 1), then one cold solve per
+    point of {sum lambda = 1, sum lambda_a a = s* (1, ..., 1)} gives
+    its largest weight.  Returns (s*, diagonal, face columns or None)."""
+    points = sorted(set(columns))
+    k = len(points)
+    m = len(points[0])
+    rows = []
+    rhs = []
+    for i in range(m):
+        rows.append([Fraction(a[i]) for a in points] + [Fraction(-1)])
+        rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    rhs.append(Fraction(1))
+    rows.append([Fraction(-1)] * k + [Fraction(0)])
+    rhs.append(Fraction(-1))
+    objective = [Fraction(0)] * k + [Fraction(-1)]
+    value, _ = solve_lp(objective, rows, rhs)
+    s_star = -value
+    rows, rhs = _diagonal_system(points, s_star)
+    weights = {}
+    try:
+        for idx, point in enumerate(points):
+            objective = [Fraction(0)] * k
+            objective[idx] = Fraction(1)
+            weights[point], _ = solve_lp(objective, rows, rhs)
+    except LpInfeasible:
+        return s_star, False, None
+    return s_star, True, tuple(j for j, col in enumerate(columns) if weights[col] > 0)
+
+
+def test_newton_side_matches_phase_one_programs():
+    """newton_min_diagonal, diagonal_position and diagonal_face_columns,
+    read off the optimal face of max |mu| over {mu >= 0 : E mu <= 1},
+    against the lambda-form phase-one programs, on seeded column sets
+    that are diagonal with all or only some columns on the face, and
+    not diagonal."""
+    rng = random.Random(20261019)
+    kinds = collections.Counter()
+    for _ in range(300):
+        matrix = _random_matrix(rng)
+        columns = matrix.columns
+        s_star, diagonal, face = _phase_one_newton(columns)
+        assert newton_min_diagonal(columns) == s_star, matrix
+        assert diagonal_position(columns) == diagonal, matrix
+        if diagonal:
+            assert diagonal_face_columns(matrix) == face, matrix
+            kinds["subset" if len(face) < len(columns) else "all"] += 1
+        else:
+            with pytest.raises(NotDiagonal):
+                diagonal_face_columns(matrix)
+            kinds["not diagonal"] += 1
+    for key in ("all", "subset", "not diagonal"):
+        assert kinds[key] >= 5, kinds
+
+
+def _constraint_sweep(matrix):
+    """Reference vertex list: every choice of N tight constraints among
+    the m rows of E gamma <= 1 and the N sign conditions, solved as an
+    N x N system and kept when the point lies in the polytope."""
+    N = matrix.width
+    m = matrix.varcount
+    rows = [list(r) for r in matrix.rows]
+    constraints = [(rows[i], Fraction(1)) for i in range(m)]
+    for j in range(N):
+        unit = [Fraction(0)] * N
+        unit[j] = Fraction(-1)
+        constraints.append((unit, Fraction(0)))
+    found = {}
+    for combo in itertools.combinations(range(len(constraints)), N):
+        system = [constraints[k][0] for k in combo]
+        rhs = [constraints[k][1] for k in combo]
+        point = _solve_square(system, rhs)
+        if point is None:
+            continue
+        if any(v < 0 for v in point):
+            continue
+        if any(sum(c * v for c, v in zip(rows[i], point)) > 1 for i in range(m)):
+            continue
+        found[tuple(point)] = True
+    return sorted(found)
+
+
+def test_vertices_match_constraint_sweep():
+    """The m x m basis sweep of [E | I] against the N x N sweep of tight
+    constraints, with the multiset edge pinned at C(N + m, m) bases, on
+    the first 100 matrices of the Newton-side seed (the reference sweep
+    makes the full 300 take about 9 s) and the N=9 polytope."""
+    rng = random.Random(20261019)
+    matrices = [_random_matrix(rng) for _ in range(100)] + [matrix_of(n9())]
+    for matrix in matrices:
+        bases = math.comb(matrix.width + matrix.varcount, matrix.varcount)
+        listed = vertices(matrix, Budgets(max_multisets=bases))
+        assert listed == _constraint_sweep(matrix), matrix
+        with pytest.raises(BudgetExceeded):
+            vertices(matrix, Budgets(max_multisets=bases - 1))
+    # the last matrix is the N=9 polytope
+    assert len(listed) == 58 and bases == 715
