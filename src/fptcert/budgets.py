@@ -4,7 +4,7 @@ The expensive operations (Frobenius-power membership scans, staircase
 counts, vertex enumeration) are metered.  Caps can be raised or lowered
 per call, through the CLI, or through environment variables:
 
-    FPTCERT_MAX_MULTISETS   product multisets / constraint bases examined
+    FPTCERT_MAX_MULTISETS   product multisets examined / feasible bases visited
     FPTCERT_MAX_TERMS       pairwise term multiplications performed
     FPTCERT_MAX_DIMENSION   polytope dimension accepted by vertex listing
 """

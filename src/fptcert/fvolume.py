@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from .basep import INFINITY
 from .errors import InputError
-from .geometry import (
-    exponent_matrix,
-    maximal_point,
-    reduce_generators,
-    vertices,
-)
+from .geometry import exponent_matrix, reduce_generators, vertices
 from .thresholds import _block_floors, _escape_set, _to_fp_generators, fpt_bound
 
 
@@ -108,7 +103,7 @@ def fvolume_estimate(ideals, p, e_max, budgets=None):
 def term_ideal_volume_bound(generators, budgets=None):
     """Candidate bound for the volume of the tuple of term ideals
     spanned by the blocks: the best product of block sums over the
-    polytope vertices together with the maximal point.  The true value
+    polytope vertices, which include a unique maximal point.  The true value
     maximizes the product over the whole polytope, so this is a lower
     bound certified only at the evaluated points.
 
@@ -117,13 +112,9 @@ def term_ideal_volume_bound(generators, budgets=None):
     generators = tuple(generators)
     mapping = reduce_generators(generators)
     matrix = exponent_matrix(mapping)
-    candidates = set(vertices(matrix, budgets))
-    cert = maximal_point(matrix)
-    if cert.unique:
-        candidates.add(cert.rho)
     best = None
     witness = None
-    for point in sorted(candidates):
+    for point in vertices(matrix, budgets):
         value = math.prod(sum(block) for block in matrix.split(point))
         if best is None or value > best:
             best = value

@@ -7,6 +7,7 @@ order, are the columns of the exponent matrix E, and the splitting
 polytope is {gamma >= 0 : E gamma <= 1}.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,60 +252,58 @@ def _check_dual_certificate(rows, gamma, y, M):
         raise FptcertError("internal: the dual certificate of M = %s fails" % M)
 
 
-def _solve_square(rows, rhs):
-    """Solve a square rational system by Gauss-Jordan elimination;
-    returns None when singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def vertices(matrix, budgets=None):
     """All vertices of the splitting polytope, sorted lexicographically.
 
-    With the row slacks, the polytope is {z >= 0 : [E | I] z = 1}, and
-    its vertices are the basic solutions z >= 0: m of the N + m columns
-    forming an invertible m x m system.  The cap on N comes from the
-    dimension budget; each of the C(N + m, m) candidate bases is charged
-    against the multiset budget.
+    A breadth-first walk over the feasible bases of the dictionary of
+    E gamma <= 1 from the slack basis, pivoting each column on every row
+    that ties in its ratio test.  The origin is nondegenerate, so the
+    slack basis is its only basis; Bland's rule on max -|gamma| reaches
+    it from any feasible basis by ratio-test pivots, whose reverses are
+    ratio-test pivots, so every feasible basis is visited.  A column
+    without a negative entry (a zero column of E) never enters.  The cap
+    on N comes from the dimension budget; each feasible basis visited is
+    charged against the multiset budget.
     """
     budgets = budgets if budgets is not None else Budgets.from_env()
     N = matrix.width
-    m = matrix.varcount
     if N > budgets.max_dimension:
         raise DimensionTooLarge(
             "polytope dimension %d exceeds the cap %d" % (N, budgets.max_dimension)
         )
     meter = Meter(budgets)
-    augmented = [
-        row + tuple(int(i == r) for r in range(m)) for i, row in enumerate(matrix.rows)
-    ]
+    start = _optimal_dictionary([0] * N, matrix.rows, [1] * matrix.varcount)
+    seen = {frozenset(start.basic)}
+    queue = collections.deque([start])
     found = set()
-    for basis in itertools.combinations(range(N + m), m):
+    while queue:
         meter.charge_multisets()
-        z = _solve_square([[row[j] for j in basis] for row in augmented], [1] * m)
-        if z is None or min(z) < 0:
-            continue
-        values = dict(zip(basis, z))
-        found.add(tuple(values.get(j, Fraction(0)) for j in range(N)))
+        dictionary = queue.popleft()
+        found.add(tuple(dictionary.values(range(N))))
+        for col, entering in enumerate(dictionary.nonbasic):
+            ratios = {
+                i: -row[0] / row[1 + col]
+                for i, row in enumerate(dictionary.rows)
+                if row[1 + col] < 0
+            }
+            least = min(ratios.values(), default=None)
+            for i, ratio in ratios.items():
+                basis = frozenset(dictionary.basic) - {dictionary.basic[i]} | {entering}
+                if ratio == least and basis not in seen:
+                    seen.add(basis)
+                    neighbour = dictionary.copy()
+                    neighbour.pivot(i, col)
+                    queue.append(neighbour)
     return sorted(found)
 
 
 def _dedupe_supports(supports):
     cleaned = set()
     for vector in supports:
-        vector = tuple(vector)
+        try:
+            vector = tuple(vector)
+        except TypeError:
+            raise InputError("support vector %r is not a sequence" % (vector,))
         if any(not isinstance(v, int) or v < 0 for v in vector):
             raise InputError("support vectors must have nonnegative integer entries")
         if not any(vector):

@@ -102,6 +102,11 @@ class _Dictionary:
         self.rows = [[row[0]] + [row[1 + j] for j in cols] for row in self.rows]
         self.obj = [self.obj[0]] + [self.obj[1 + j] for j in cols]
 
+    def copy(self):
+        return _Dictionary(
+            list(self.nonbasic), list(self.basic), [list(r) for r in self.rows], list(self.obj)
+        )
+
     def values(self, vids):
         """Values of the given variables at the basic solution."""
         at = {vid: row[0] for vid, row in zip(self.basic, self.rows)}

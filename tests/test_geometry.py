@@ -23,7 +23,6 @@ from fptcert.errors import (
 from fptcert.geometry import (
     ExponentMatrix,
     _check_dual_certificate,
-    _solve_square,
     diagonal_face_columns,
     diagonal_position,
     exponent_matrix,
@@ -35,6 +34,7 @@ from fptcert.geometry import (
 )
 from fptcert.polyring import parse_polynomial, reduce_mod_p, support
 from fptcert.simplex import LpInfeasible, _optimal_dictionary, solve_lp
+from fptcert.thresholds import monomial_fpt
 
 XYZ = ("x", "y", "z")
 
@@ -230,6 +230,10 @@ def test_newton_min_diagonal_validation():
     for bad in ((1.5, 2), (Fraction(1, 2), 1), ("3", 1), (2.0, 1)):
         with pytest.raises(InputError):
             newton_min_diagonal({bad})
+    with pytest.raises(InputError):
+        newton_min_diagonal([1])
+    with pytest.raises(InputError):
+        monomial_fpt([None])
 
 
 def test_diagonal_position():
@@ -490,6 +494,25 @@ def test_newton_side_matches_phase_one_programs():
         assert kinds[key] >= 5, kinds
 
 
+def _solve_square(rows, rhs):
+    """Solve a square rational system by Gauss-Jordan elimination;
+    returns None when singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
 def _constraint_sweep(matrix):
     """Reference vertex list: every choice of N tight constraints among
     the m rows of E gamma <= 1 and the N sign conditions, solved as an
@@ -517,18 +540,44 @@ def _constraint_sweep(matrix):
     return sorted(found)
 
 
+def _feasible_bases(matrix):
+    """Count the feasible bases of {z >= 0 : [E | I] z = 1}: the choices
+    of m of the N + m columns forming an invertible m x m system whose
+    solution is nonnegative."""
+    m = matrix.varcount
+    augmented = [
+        row + tuple(int(i == r) for r in range(m)) for i, row in enumerate(matrix.rows)
+    ]
+    count = 0
+    for basis in itertools.combinations(range(matrix.width + m), m):
+        z = _solve_square([[row[j] for j in basis] for row in augmented], [1] * m)
+        count += z is not None and min(z) >= 0
+    return count
+
+
 def test_vertices_match_constraint_sweep():
-    """The m x m basis sweep of [E | I] against the N x N sweep of tight
-    constraints, with the multiset edge pinned at C(N + m, m) bases, on
-    the first 100 matrices of the Newton-side seed (the reference sweep
-    makes the full 300 take about 9 s) and the N=9 polytope."""
+    """The pivot walk over feasible bases against the N x N sweep of
+    tight constraints, with the multiset edge pinned at the number F of
+    feasible bases, on the first 100 matrices of the Newton-side seed
+    (the reference sweep makes the full 300 take about 9 s), the N=9
+    polytope and hand-built matrices with a zero column, which never
+    enters a basis.  The earlier cap, one multiset per each of the
+    C(N + m, m) candidate bases, still suffices."""
     rng = random.Random(20261019)
-    matrices = [_random_matrix(rng) for _ in range(100)] + [matrix_of(n9())]
+    zero_columns = [
+        ExponentMatrix(varcount=2, columns=((1, 0), (0, 0), (0, 1)), block_sizes=(3,)),
+        ExponentMatrix(varcount=1, columns=((0,), (2,)), block_sizes=(1, 1)),
+    ]
+    matrices = zero_columns + [_random_matrix(rng) for _ in range(100)] + [matrix_of(n9())]
     for matrix in matrices:
-        bases = math.comb(matrix.width + matrix.varcount, matrix.varcount)
-        listed = vertices(matrix, Budgets(max_multisets=bases))
+        feasible = _feasible_bases(matrix)
+        listed = vertices(matrix, Budgets(max_multisets=feasible))
         assert listed == _constraint_sweep(matrix), matrix
         with pytest.raises(BudgetExceeded):
-            vertices(matrix, Budgets(max_multisets=bases - 1))
+            vertices(matrix, Budgets(max_multisets=feasible - 1))
+        bases = math.comb(matrix.width + matrix.varcount, matrix.varcount)
+        assert vertices(matrix, Budgets(max_multisets=bases)) == listed
+    assert vertices(zero_columns[0]) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+    assert vertices(zero_columns[1]) == [(0, 0), (0, Fraction(1, 2))]
     # the last matrix is the N=9 polytope
-    assert len(listed) == 58 and bases == 715
+    assert len(listed) == 58 and feasible == 197 and bases == 715
