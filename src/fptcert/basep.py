@@ -6,10 +6,13 @@ get trailing digits p-1.  Digits are indexed from 1.  The convention
 for truncations is <alpha>_0 = 0 and <0>_e = 0.
 """
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .budgets import Meter
 from .errors import InputError
 
 
@@ -51,6 +54,11 @@ def _check_base(p):
         raise InputError("base must be an integer >= 2, got %r" % (p,))
 
 
+def _check_position(k):
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InputError("digit positions are integers >= 1, got %r" % (k,))
+
+
 def _as_fraction(alpha):
     if isinstance(alpha, (Fraction, int)):
         return Fraction(alpha)
@@ -68,8 +76,7 @@ class DigitStream:
 
     def digit(self, k):
         """The k-th digit, k >= 1."""
-        if k < 1:
-            raise InputError("digit positions start at 1")
+        _check_position(k)
         if k <= len(self.preperiod):
             return self.preperiod[k - 1]
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
@@ -119,8 +126,7 @@ def digit_at(alpha, p, k):
     alpha = _as_fraction(alpha)
     if not (0 <= alpha <= 1):
         raise InputError("alpha must lie in [0, 1], got %s" % alpha)
-    if k < 1:
-        raise InputError("digit positions start at 1")
+    _check_position(k)
     if alpha == 0:
         return 0
     return math.ceil(p**k * alpha) - 1 - p * (math.ceil(p ** (k - 1) * alpha) - 1)
@@ -160,15 +166,21 @@ class CarryHorizon:
         return self.value if self.finite else "inf"
 
 
-def carry_horizon(block, p):
+def carry_horizon(block, p, meter=None):
     """CarryHorizon of one block: the largest S such that the digit sums
     stay <= p - 1 at every level 1..S (level 0 never violates).  If no
     level violates, the horizon is INFINITY.
 
-    The joint digit sequence is eventually periodic, so scanning one
-    full window (max preperiod plus the lcm of the period lengths)
-    decides every position."""
+    Levels up to the longest preperiod A are scanned one by one.  Past
+    A the joint digits are periodic, and the first carry is found from
+    residue classes (``_first_carry``) without walking the lcm of the
+    periods.  Each class taken off its heap is charged to ``meter``'s
+    multiset budget (a fresh ``Meter()`` when None)."""
     _check_base(p)
+    try:
+        block = list(block)
+    except TypeError:
+        raise InputError("block %r is not a sequence" % (block,))
     streams = []
     for alpha in block:
         alpha = _as_fraction(alpha)
@@ -176,15 +188,61 @@ def carry_horizon(block, p):
             raise InputError("entries must lie in [0, 1], got %s" % alpha)
         if alpha > 0:
             streams.append(digits(alpha, p))
-    window = 0
-    if streams:
-        window = max(len(s.preperiod) for s in streams) + math.lcm(
-            *[len(s.period) for s in streams]
-        )
-    for k in range(1, window + 1):
+    if not streams:
+        return CarryHorizon(INFINITY)
+    start = max(len(s.preperiod) for s in streams)
+    for k in range(1, start + 1):
         if sum(s.digit(k) for s in streams) > p - 1:
             return CarryHorizon(k - 1)
-    return CarryHorizon(INFINITY)
+    # past the preperiods, row i holds the digit of stream i at level
+    # start + 1 + j at index j mod its period length
+    rows = []
+    for s in streams:
+        shift = (start - len(s.preperiod)) % len(s.period)
+        rows.append(s.period[shift:] + s.period[:shift])
+    meter = meter if meter is not None else Meter()
+    return CarryHorizon(start + _first_carry(rows, p, meter))
+
+
+def _first_carry(rows, p, meter):
+    """The least j >= 0 with sum_d rows[d][j mod len(rows[d])] > p - 1,
+    or INFINITY.
+
+    A class j = c (mod M_d), 0 <= c < M_d, M_d the lcm of the first d
+    row lengths, fixes the first d rows.  By the CRT its refinements by
+    row d, of length L_d, are the L_d / gcd(M_d, L_d) classes c + M_d x
+    mod M_{d+1}, in increasing order of x and of c + M_d x.  A class
+    survives while its sum so far exceeds need[d], p - 1 minus the
+    largest entry of every later row.  Classes leave a heap smallest c
+    first, and each pushes only its own first surviving refinement and
+    its parent's next one, so the heap holds at most one entry more than
+    the classes taken off it, every class taken off has c <= j, and the
+    first one that fixes every row gives the least j."""
+    t = len(rows)
+    need = [p - 1 - sum(max(row) for row in rows[d:]) for d in range(t + 1)]
+    moduli = list(itertools.accumulate((len(row) for row in rows), math.lcm, initial=1))
+    heap = []
+
+    def push(c, total, d, first):
+        # the first surviving refinement c + M_d x, x >= first, of class c at depth d
+        row, step = rows[d], moduli[d]
+        for x in range(first, moduli[d + 1] // step):
+            j = c + step * x
+            digit = row[j % len(row)]
+            if total + digit > need[d + 1]:
+                heapq.heappush(heap, (j, -d - 1, x, c, total, total + digit))
+                return
+
+    if need[0] < 0:  # the class of every j, 0 mod 1, can still carry
+        push(0, 0, 0, 0)
+    while heap:
+        j, depth, x, c, total, refined = heapq.heappop(heap)
+        meter.charge_multisets()
+        if -depth == t:
+            return j
+        push(c, total, -depth - 1, x + 1)
+        push(j, refined, -depth, 0)
+    return INFINITY
 
 
 def adds_without_carrying(alphas, p):

@@ -1,10 +1,12 @@
 """Work budgets for the brute-force oracles and enumerations.
 
 The expensive operations (Frobenius-power membership scans, staircase
-counts, vertex enumeration) are metered.  Caps can be raised or lowered
-per call, through the CLI, or through environment variables:
+counts, vertex enumeration, the first-carry search) are metered.  Caps
+can be raised or lowered per call, through the CLI, or through
+environment variables:
 
-    FPTCERT_MAX_MULTISETS   product multisets examined / feasible bases visited
+    FPTCERT_MAX_MULTISETS   product multisets examined / feasible bases visited /
+                            residue classes searched for a first carry
     FPTCERT_MAX_TERMS       pairwise term multiplications performed
     FPTCERT_MAX_DIMENSION   polytope dimension accepted by vertex listing
 """

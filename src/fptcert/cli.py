@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .basep import carry_horizon, digits
-from .budgets import Budgets
+from .budgets import Budgets, Meter
 from .errors import BudgetExceeded, FptcertError, InputError
 from .fvolume import fvolume_count, fvolume_estimate, fvolume_lower_bound
 from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
@@ -289,7 +289,7 @@ def _cmd_carry(inp):
     return {
         "block": _jsonable(inp.block),
         "p": inp.p,
-        "S": carry_horizon(inp.block, inp.p).to_json_value(),
+        "S": carry_horizon(inp.block, inp.p, Meter(inp.budgets)).to_json_value(),
     }
 
 

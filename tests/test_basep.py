@@ -20,7 +20,8 @@ from fptcert.basep import (
     multinomial_nonzero_mod_p,
     truncation,
 )
-from fptcert.errors import InputError
+from fptcert.budgets import Budgets, Meter
+from fptcert.errors import BudgetExceeded, InputError
 
 
 def test_is_prime_small_and_pseudoprimes():
@@ -95,6 +96,16 @@ def test_digit_at_zero_and_bounds():
         digit_at(Fraction(3, 2), 5, 1)
     with pytest.raises(InputError):
         digits(Fraction(0), 5)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "1", None])
+def test_digit_positions_must_be_ints(k):
+    # a float position used to give digit 0 from digit_at and a raw
+    # TypeError from DigitStream.digit
+    with pytest.raises(InputError):
+        digit_at(Fraction(1, 3), 2, k)
+    with pytest.raises(InputError):
+        digits(Fraction(1, 3), 2).digit(k)
 
 
 def test_truncation_identities():
@@ -188,6 +199,91 @@ def test_carry_horizon_ignores_zero_entries():
     block = [Fraction(0), Fraction(1, 2)]
     assert carry_horizon(block, 2) == carry_horizon([Fraction(1, 2)], 2)
     assert carry_horizon([Fraction(0)], 2) == CarryHorizon(INFINITY)
+
+
+def _scan_horizon(block, p):
+    """The position-by-position scan of one full window (max preperiod
+    plus the lcm of the periods), kept as the reference for the residue
+    search."""
+    streams = [digits(a, p) for a in block if a > 0]
+    window = 0
+    if streams:
+        window = max(len(s.preperiod) for s in streams) + math.lcm(
+            *[len(s.period) for s in streams]
+        )
+    for k in range(1, window + 1):
+        if sum(s.digit(k) for s in streams) > p - 1:
+            return CarryHorizon(k - 1)
+    return CarryHorizon(INFINITY)
+
+
+def _seeded_block(rng, p):
+    shape = rng.choice(["random", "preperiod", "shared", "unit", "mixed"])
+    if shape == "unit":
+        # 1/(p^L - 1): digit 1 at the multiples of L; p of them must meet
+        periods = rng.sample(range(1, 10), p if p < 4 else rng.randint(2, 3))
+        block = [Fraction(1, p**L - 1) for L in periods]
+        if rng.random() < 0.5:
+            block.append(Fraction(1, p ** rng.randint(1, 3) - 1))  # short extra period
+        return block
+    block = []
+    for _ in range(rng.randint(1, 4)):
+        if shape == "shared":
+            # equal and shared-factor periods: denominators p^L - 1 with L | 12
+            den = p ** rng.choice([1, 2, 3, 4, 6, 12]) - 1
+            block.append(Fraction(rng.randint(1, min(den, 3)), den))
+        elif shape == "preperiod":
+            den = rng.randint(1, 9) * p ** rng.randint(1, 3)
+            block.append(Fraction(rng.randint(1, den), den))
+        else:
+            den = rng.randint(1, 30)
+            block.append(Fraction(rng.randint(0, den), den))
+    if shape == "mixed":
+        block += [Fraction(0), Fraction(1)][: rng.randint(1, 2)]
+    return block
+
+
+def test_carry_horizon_matches_position_scan():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(1500):
+        p = rng.choice([2, 3, 5, 7])
+        block = _seeded_block(rng, p)
+        expected = _scan_horizon(block, p)
+        assert carry_horizon(block, p) == expected, (block, p)
+        outcomes.add(expected.finite)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "periods,horizon",
+    [((97, 89, 83), 716538), ((997, 991, 983), 971230540)],
+)
+def test_carry_horizon_long_windows(periods, horizon):
+    # 1/(3^L - 1) has digit 1 at the multiples of L, so the first carry
+    # of three such entries in base 3 is at lcm(L) = prod(L); the search
+    # must not walk that window (about 9.7e8 levels for the second).
+    block = [Fraction(1, 3**L - 1) for L in periods]
+    meter = Meter(Budgets(max_multisets=10**4))
+    assert carry_horizon(block, 3, meter) == CarryHorizon(horizon)
+
+
+def test_carry_horizon_budget_edge():
+    # (19, 17, 5) in base 2: the first pair to meet is 17 and 5, at
+    # level 85; the search takes 29 classes off its heap
+    block = [Fraction(1, 2**L - 1) for L in (19, 17, 5)]
+    assert carry_horizon(block, 2, Meter(Budgets(max_multisets=29))) == CarryHorizon(84)
+    with pytest.raises(BudgetExceeded):
+        carry_horizon(block, 2, Meter(Budgets(max_multisets=28)))
+
+
+def test_carry_horizon_validation():
+    with pytest.raises(InputError):
+        carry_horizon(3, 2)  # not a sequence
+    with pytest.raises(InputError):
+        carry_horizon([Fraction(3, 2)], 2)
+    with pytest.raises(InputError):
+        carry_horizon([Fraction(1, 2)], 1)
 
 
 def test_carry_horizon_json_value():

@@ -118,6 +118,14 @@ def test_carry(capsys):
     assert payload["result"] == {"block": ["1/3", "1/3"], "p": 2, "S": 1}
     _, payload, _ = run_json(capsys, "carry", "--block", "1/3,1/3", "--p", "7")
     assert payload["result"]["S"] == "inf"
+    # the residue search is charged to the multiset budget: 29 classes
+    # for 1/(2^L - 1), L = 19, 17, 5
+    block = ["--block", "1/524287,1/131071,1/31", "--p", "2"]
+    _, payload, _ = run_json(capsys, "carry", *block, "--max-multisets", "29")
+    assert payload["result"]["S"] == 84
+    code, payload, _ = run_json(capsys, "carry", *block, "--max-multisets", "28")
+    assert code == 4
+    assert payload["error"]["kind"] == "BudgetExceeded"
 
 
 def test_nu_and_estimate(capsys):
