@@ -209,28 +209,34 @@ def _first_carry(rows, p, meter):
     or INFINITY.
 
     A class j = c (mod M_d), 0 <= c < M_d, M_d the lcm of the first d
-    row lengths, fixes the first d rows.  By the CRT its refinements by
-    row d, of length L_d, are the L_d / gcd(M_d, L_d) classes c + M_d x
-    mod M_{d+1}, in increasing order of x and of c + M_d x.  A class
-    survives while its sum so far exceeds need[d], p - 1 minus the
-    largest entry of every later row.  Classes leave a heap smallest c
-    first, and each pushes only its own first surviving refinement and
-    its parent's next one, so the heap holds at most one entry more than
-    the classes taken off it, every class taken off has c <= j, and the
-    first one that fixes every row gives the least j."""
+    row lengths, fixes the first d rows and j mod gcd(M_d, L_k) for each
+    later row k of length L_k.  By the CRT its refinements by row d are
+    the L_d / gcd(M_d, L_d) classes c + M_d x mod M_{d+1}, in increasing
+    order of x and of c + M_d x.  A class survives while its sum so far
+    plus the largest entry of every later row at the residues it fixes
+    exceeds p - 1 (the sum exceeding need[d], p - 1 minus the largest
+    entry of every later row, is the cheap first test).  Classes leave a
+    heap smallest c first, and each pushes only its own first surviving
+    refinement and its parent's next one, so the heap holds at most one
+    entry more than the classes taken off it, every class taken off has
+    c <= j, and the first one that fixes every row gives the least j."""
     t = len(rows)
     need = [p - 1 - sum(max(row) for row in rows[d:]) for d in range(t + 1)]
     moduli = list(itertools.accumulate((len(row) for row in rows), math.lcm, initial=1))
+    # tops[d]: for every row k >= d, g = gcd(M_d, L_k) and the largest
+    # entry of the row at each residue mod g
+    tops = [[(g, [max(row[r::g]) for r in range(g)]) for row in rows[d:]
+             for g in [math.gcd(moduli[d], len(row))]] for d in range(t + 1)]
     heap = []
 
     def push(c, total, d, first):
         # the first surviving refinement c + M_d x, x >= first, of class c at depth d
-        row, step = rows[d], moduli[d]
-        for x in range(first, moduli[d + 1] // step):
-            j = c + step * x
-            digit = row[j % len(row)]
-            if total + digit > need[d + 1]:
-                heapq.heappush(heap, (j, -d - 1, x, c, total, total + digit))
+        row, step, later, slack = rows[d], moduli[d], tops[d + 1], need[d + 1] - total
+        length = len(row)
+        for j in range(c + step * first, c + moduli[d + 1], step):
+            digit = row[j % length]
+            if digit > slack and total + digit + sum(top[j % g] for g, top in later) > p - 1:
+                heapq.heappush(heap, (j, -d - 1, (j - c) // step, c, total, total + digit))
                 return
 
     if need[0] < 0:  # the class of every j, 0 mod 1, can still carry
@@ -245,10 +251,10 @@ def _first_carry(rows, p, meter):
     return INFINITY
 
 
-def adds_without_carrying(alphas, p):
+def adds_without_carrying(alphas, p, meter=None):
     """True when at every digit position the digits of the given
-    rationals sum to at most p - 1."""
-    return not carry_horizon(alphas, p).finite
+    rationals sum to at most p - 1 (``carry_horizon`` on ``meter``)."""
+    return not carry_horizon(alphas, p, meter).finite
 
 
 def multinomial_nonzero_mod_p(total, parts, p):
@@ -284,7 +290,8 @@ def in_P_rho_0(blocks, p):
     return all(results)
 
 
-def in_P_rho_inf(blocks, p):
+def in_P_rho_inf(blocks, p, meter=None):
     """Carry-free criterion: every block adds without carrying in
-    base p."""
-    return all(adds_without_carrying(block, p) for block in blocks)
+    base p, all charged to one ``meter`` (a fresh ``Meter()`` if None)."""
+    meter = meter if meter is not None else Meter()
+    return all(adds_without_carrying(block, p, meter) for block in blocks)

@@ -296,7 +296,8 @@ def _cmd_carry(inp):
 @_command("fpt-bound", "threshold certificate (exact value or lower bound)",
           "vars", "gens", "p")
 def _cmd_fpt_bound(inp):
-    return fpt_bound(_parse(inp.generators, inp.variables), inp.p).to_json_dict()
+    gens = _parse(inp.generators, inp.variables)
+    return fpt_bound(gens, inp.p, Meter(inp.budgets)).to_json_dict()
 
 
 @_command("nu", "brute-force Frobenius escape level", "vars", "gens", "p", "e")
@@ -328,7 +329,7 @@ def _cmd_classify(inp):
 def _cmd_verify_prime(inp):
     gens = _parse(inp.generators, inp.variables)
     verdict = lct_fpt_classifier(gens)
-    check = verify_prime(gens, inp.p, verdict)
+    check = verify_prime(gens, inp.p, verdict, Meter(inp.budgets))
     verdict = verdict.with_checked(inp.p, check.holds)
     return {
         "verdict": verdict.to_json_dict(),
@@ -340,7 +341,7 @@ def _cmd_verify_prime(inp):
           "vars", "gens", "p", "counts_e_max?")
 def _cmd_fvol_bound(inp):
     gens = _parse(inp.generators, inp.variables)
-    cert = fvolume_lower_bound(gens, inp.p)
+    cert = fvolume_lower_bound(gens, inp.p, Meter(inp.budgets))
     if inp.counts_e_max is not None:
         ideals = [[g] for g in gens]
         rows = fvolume_estimate(ideals, inp.p, inp.counts_e_max, inp.budgets)

@@ -38,13 +38,14 @@ class FVolumeCertificate:
         }
 
 
-def fvolume_lower_bound(generators, p):
+def fvolume_lower_bound(generators, p, meter=None):
     """Lower bound for the volume of the tuple of principal ideals
     (f_1), ..., (f_t): the product over blocks of |rho_i| when the
     block adds without carrying, and |<rho_i>_{S_i}| + p**-S_i at a
     finite carry horizon S_i.  These are the block floors at level
-    INFINITY whose sum is the threshold bound of ``fpt_bound``."""
-    cert = fpt_bound(generators, p)
+    INFINITY whose sum is the threshold bound of ``fpt_bound``, whose
+    carry searches are charged to ``meter``."""
+    cert = fpt_bound(generators, p, meter)
     return FVolumeCertificate(
         p=p,
         bound=math.prod(_block_floors(p, cert.rho_blocks, cert.horizons, INFINITY)),

@@ -202,7 +202,7 @@ def _optimal_face(rows, width):
     nonbasic.  Returns (face dictionary, M, vertex, dual); the dual
     read off the slack columns certifies M."""
     dictionary = _optimal_dictionary([1] * width, rows, [1] * len(rows))
-    M = dictionary.obj[0]
+    M = dictionary.optimum
     vertex = tuple(dictionary.values(range(width)))
     reduced = dictionary.duals(range(width + len(rows)))
     dual = tuple(reduced[width:])
@@ -281,15 +281,19 @@ def vertices(matrix, budgets=None):
         dictionary = queue.popleft()
         found.add(tuple(dictionary.values(range(N))))
         for col, entering in enumerate(dictionary.nonbasic):
-            ratios = {
-                i: -row[0] / row[1 + col]
-                for i, row in enumerate(dictionary.rows)
-                if row[1 + col] < 0
-            }
-            least = min(ratios.values(), default=None)
-            for i, ratio in ratios.items():
+            # the rows tied at the least ratio num / den = row[0] / -row[1 + col]
+            tied, least = [], None
+            for i, row in enumerate(dictionary.rows):
+                num, den = row[0], -row[1 + col]
+                if den > 0:
+                    gap = -1 if least is None else num * least[1] - least[0] * den
+                    if gap < 0:
+                        tied, least = [i], (num, den)
+                    elif gap == 0:
+                        tied.append(i)
+            for i in tied:
                 basis = frozenset(dictionary.basic) - {dictionary.basic[i]} | {entering}
-                if ratio == least and basis not in seen:
+                if basis not in seen:
                     seen.add(basis)
                     neighbour = dictionary.copy()
                     neighbour.pivot(i, col)

@@ -168,9 +168,10 @@ def _block_floors(p, rho_blocks, horizons, level):
     return floors
 
 
-def fpt_bound(generators, p):
+def fpt_bound(generators, p, meter=None):
     """Certificate for the threshold of the ideal the generators span,
-    over GF(p).  Rational generators are reduced mod p first.
+    over GF(p).  Rational generators are reduced mod p first.  Every
+    block's carry search is charged to ``meter`` (``Meter()`` if None).
 
     When every block of rho adds without carrying in base p the value
     is exact (it equals |rho|); otherwise the finite carry horizons
@@ -180,7 +181,8 @@ def fpt_bound(generators, p):
     """
     _, _, cert = _unique_rho(generators, p)
     rho_blocks = cert.blocks_of_rho
-    horizons = tuple(carry_horizon(block, p) for block in rho_blocks)
+    meter = meter if meter is not None else Meter()
+    horizons = tuple(carry_horizon(block, p, meter) for block in rho_blocks)
     finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
     truncations = tuple(
         tuple(truncation(a, p, horizons[i].value) for a in rho_blocks[i])
@@ -619,7 +621,7 @@ class PrimeCheck:
         }
 
 
-def verify_prime(generators, p, verdict):
+def verify_prime(generators, p, verdict, meter=None):
     """Check a conclusive verdict at one prime.
 
     The sufficient Newton polyhedron check must pass, and the mod-p
@@ -627,7 +629,8 @@ def verify_prime(generators, p, verdict):
     bound must reach t (the upper bound min(t, |rho|) is then also t);
     in the at-most-t case the certificate must be exact with value
     |rho|.  Predicate membership is evaluated and reported but the
-    decision rests on the certificate.
+    decision rests on the certificate.  The carry searches of both are
+    charged to the one ``meter`` (a fresh ``Meter()`` when None).
     """
     _check_prime(p)
     if not isinstance(verdict, LctVerdict):
@@ -635,16 +638,17 @@ def verify_prime(generators, p, verdict):
     if not verdict.conclusive:
         raise InputError("the verdict is inconclusive; nothing to verify")
     generators = tuple(generators)
+    meter = meter if meter is not None else Meter()
     preserved = newton_polyhedron_preserved(generators, p)
     if verdict.case == CASE_DIAGONAL_ABOVE_T:
         predicate_member = in_P_rho_0(verdict.rho_blocks, p)
     else:
-        predicate_member = in_P_rho_inf(verdict.rho_blocks, p)
+        predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
     certificate_kind = None
     certificate_value = None
     holds = False
     if preserved:
-        certificate = fpt_bound(generators, p)
+        certificate = fpt_bound(generators, p, meter)
         certificate_kind = certificate.kind
         certificate_value = certificate.value
         if verdict.case == CASE_DIAGONAL_ABOVE_T:

@@ -277,6 +277,22 @@ def test_carry_horizon_budget_edge():
         carry_horizon(block, 2, Meter(Budgets(max_multisets=28)))
 
 
+def test_carry_horizon_prunes_by_shared_factor():
+    # periods 2*1201 and 2*1193 in base 2 with their ones on opposite
+    # parities never meet: every class fixes the parity of j, so the
+    # search ends without the 1,200 classes a global row maximum keeps
+    def parity_entry(half, parity):
+        bits = [int(j % 2 == parity) for j in range(2 * half)]
+        bits[parity] = 0  # makes 2 * half the least period
+        return Fraction(int("".join(map(str, bits)), 2), 2 ** (2 * half) - 1)
+
+    block = [parity_entry(1201, 0), parity_entry(1193, 1)]
+    assert [len(digits(a, 2).period) for a in block] == [2402, 2386]
+    meter = Meter(Budgets(max_multisets=10))
+    assert carry_horizon(block, 2, meter) == CarryHorizon(INFINITY)
+    assert meter.multisets <= 2
+
+
 def test_carry_horizon_validation():
     with pytest.raises(InputError):
         carry_horizon(3, 2)  # not a sequence

@@ -365,6 +365,34 @@ def test_env_budgets(capsys, monkeypatch):
     assert code == 4
 
 
+def test_certificate_budgets(tmp_path, capsys, monkeypatch):
+    """fpt-bound, fvol-bound and verify-prime charge their first-carry
+    searches to the resolved budgets: x^2+y^3 at p=5 has rho = (1/2,
+    1/3), whose search takes 2 classes; verify-prime runs it twice
+    (carry-free predicate, then the certificate) on one meter."""
+    gens = ["--vars", "x,y", "--gens", "x^2+y^3", "--p", "5"]
+    for command, edge in (("fpt-bound", 2), ("fvol-bound", 2), ("verify-prime", 4)):
+        code, payload, _ = run_json(capsys, command, *gens, "--max-multisets", str(edge))
+        assert code == 0
+        assert payload["input"]["budgets"]["max_multisets"] == edge
+        code, payload, _ = run_json(capsys, command, *gens, "--max-multisets", str(edge - 1))
+        assert code == 4
+        assert payload["error"] == {
+            "kind": "BudgetExceeded",
+            "message": "multiset budget exhausted (%d > %d)" % (edge, edge - 1),
+        }
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "fpt-bound", "vars": "x,y", "gens": "x^2+y^3",
+                               "p": 5, "budgets": {"max_multisets": 1}}))
+    assert run_json(capsys, "fpt-bound", "--job", str(job))[0] == 4
+    # the flag beats the environment
+    monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "1")
+    assert run_json(capsys, "fpt-bound", *gens)[0] == 4
+    code, payload, _ = run_json(capsys, "fpt-bound", *gens, "--max-multisets", "100")
+    assert code == 0
+    assert payload["result"]["S"] == [1]
+
+
 def test_job_file(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(
