@@ -276,6 +276,9 @@ def _cmd_polytope(inp):
 @_command("digits", "nonterminating base-p digits of a rational", "alpha", "p", "count")
 def _cmd_digits(inp):
     stream = digits(inp.alpha, inp.p)
+    meter = Meter(inp.budgets)
+    for _ in range(inp.count):  # one multiset per prefix digit, before the list
+        meter.charge_multisets()
     return {
         "alpha": str(inp.alpha),
         "p": inp.p,

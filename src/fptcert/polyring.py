@@ -6,6 +6,7 @@ and the integers mod a prime p (int coefficients in [1, p-1]).
 """
 
 import operator
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -300,101 +301,23 @@ def in_frobenius_power(a, e):
 # factor := VAR ('^' UINT)?
 # coeff  := UINT | UINT '/' UINT
 #
+# VAR is a name [A-Za-z_][A-Za-z0-9_]*, UINT a run of decimal digits.
 # Juxtaposed factors multiply ("2x y" is 2*x*y); a term cannot start
-# with '*'.  Whitespace is insignificant.  No parentheses.
+# with '*'.  Whitespace between tokens is insignificant.  No parentheses.
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-
-
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take_uint(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an unsigned integer", start)
-        return int(self.text[start : self.pos])
-
-    def take_name(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            raise ParseError("expected a variable name", start)
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start : self.pos], start
-
-
-def _parse_factor(scanner, index, exponents):
-    name, start = scanner.take_name()
-    if name not in index:
-        raise ParseError("unknown variable '%s'" % name, start)
-    power = 1
-    if scanner.peek() == "^":
-        scanner.pos += 1
-        ch = scanner.peek()
-        if ch == "-":
-            raise ParseError("negative exponent", scanner.pos)
-        power = scanner.take_uint()
-    exponents[index[name]] += power
-
-
-def _parse_term(scanner, index, varcount):
-    coeff = Fraction(1)
-    exponents = [0] * varcount
-    saw_anything = False
-    ch = scanner.peek()
-    if ch.isdigit():
-        num = scanner.take_uint()
-        if scanner.peek() == "/":
-            scanner.pos += 1
-            at = scanner.pos
-            den = scanner.take_uint()
-            if den == 0:
-                raise ParseError("zero denominator", at)
-            coeff = Fraction(num, den)
-        else:
-            coeff = Fraction(num)
-        saw_anything = True
-    while True:
-        ch = scanner.peek()
-        if ch == "*":
-            if not saw_anything:
-                raise ParseError("expected a term", scanner.pos)
-            scanner.pos += 1
-            _parse_factor(scanner, index, exponents)
-            saw_anything = True
-        elif ch in _IDENT_START:
-            _parse_factor(scanner, index, exponents)
-            saw_anything = True
-        else:
-            break
-    if not saw_anything:
-        raise ParseError("expected a term", scanner.pos)
-    return coeff, tuple(exponents)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One token per match, after optional whitespace: group 1 an unsigned
+# integer, group 2 a name, group 3 any other single character.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(%s)|(\S))" % _NAME.pattern)
+_UINT, _VAR = 1, 2
 
 
 def parse_polynomial(text, variables):
     """Parse ``text`` into a Polynomial over the rationals.
 
     ``variables`` fixes both the variable names and their order (that
-    is, the interpretation of exponent tuples).
+    is, the interpretation of exponent tuples).  Malformed text raises
+    ParseError with the 0-based offset of the offending token.
     """
     variables = tuple(variables)
     if not variables:
@@ -402,42 +325,71 @@ def parse_polynomial(text, variables):
     if len(set(variables)) != len(variables):
         raise InputError("duplicate variable name in %r" % (variables,))
     for name in variables:
-        if not name or name[0] not in _IDENT_START or any(
-            c not in _IDENT_CONT for c in name
-        ):
+        if not name or not _NAME.fullmatch(name):
             raise InputError("invalid variable name %r" % name)
     index = {name: i for i, name in enumerate(variables)}
-    m = len(variables)
 
-    scanner = _Scanner(text)
-    if scanner.peek() == "":
-        raise ParseError("empty polynomial", scanner.pos)
+    # (token, offset, kind) triples with the next token last; kind None
+    # marks the end of the text, which every rule stops at.
+    tokens = [("", len(text), None)] + [
+        (t[t.lastindex], t.start(t.lastindex), t.lastindex)
+        for t in reversed(list(_TOKEN.finditer(text)))
+    ]
+
+    def uint():
+        token, start, kind = tokens.pop()
+        if kind != _UINT:
+            raise ParseError("expected an unsigned integer", start)
+        try:
+            return int(token)
+        except ValueError:  # longer than the int string-conversion limit
+            raise ParseError("integer is too long", start) from None
+
+    def term():
+        coeff, exponents = Fraction(1), [0] * len(variables)
+        token, start, kind = tokens[-1]
+        if kind == _UINT:
+            coeff = Fraction(uint())
+            if tokens[-1][0] == "/":
+                after_slash = tokens.pop()[1] + 1
+                den = uint()
+                if den == 0:
+                    raise ParseError("zero denominator", after_slash)
+                coeff /= den
+        elif kind != _VAR:
+            raise ParseError("expected a term", start)
+        while tokens[-1][0] == "*" or tokens[-1][2] == _VAR:
+            if tokens[-1][0] == "*":
+                tokens.pop()
+            name, start, kind = tokens.pop()
+            if kind != _VAR:
+                raise ParseError("expected a variable name", start)
+            if name not in index:
+                raise ParseError("unknown variable '%s'" % name, start)
+            power = 1
+            if tokens[-1][0] == "^":
+                tokens.pop()
+                if tokens[-1][0] == "-":
+                    raise ParseError("negative exponent", tokens[-1][1])
+                power = uint()
+            exponents[index[name]] += power
+        return coeff, tuple(exponents)
+
+    token, start, kind = tokens[-1]
+    if kind is None:
+        raise ParseError("empty polynomial", start)
+    if token == "+":
+        raise ParseError("a polynomial cannot start with '+'", start)
+    sign = tokens.pop()[0] if token == "-" else "+"
     terms = {}
-
-    def accumulate(sign):
-        coeff, mon = _parse_term(scanner, index, m)
-        terms[mon] = terms.get(mon, 0) + sign * coeff
-
-    sign = 1
-    if scanner.peek() == "-":
-        scanner.pos += 1
-        sign = -1
-    elif scanner.peek() == "+":
-        raise ParseError("a polynomial cannot start with '+'", scanner.pos)
-    accumulate(sign)
     while True:
-        ch = scanner.peek()
-        if ch == "":
-            break
-        if ch == "+":
-            scanner.pos += 1
-            accumulate(1)
-        elif ch == "-":
-            scanner.pos += 1
-            accumulate(-1)
-        else:
-            raise ParseError("unexpected character %r" % ch, scanner.pos)
-    return Polynomial(QQ, m, terms)
+        coeff, mon = term()
+        terms[mon] = terms.get(mon, 0) + (coeff if sign == "+" else -coeff)
+        sign, start, kind = tokens.pop()
+        if kind is None:
+            return Polynomial(QQ, len(variables), terms)
+        if sign not in ("+", "-"):
+            raise ParseError("unexpected character %r" % sign[0], start)
 
 
 def format_polynomial(a, variables=None):

@@ -629,8 +629,12 @@ def verify_prime(generators, p, verdict, meter=None):
     bound must reach t (the upper bound min(t, |rho|) is then also t);
     in the at-most-t case the certificate must be exact with value
     |rho|.  Predicate membership is evaluated and reported but the
-    decision rests on the certificate.  The carry searches of both are
-    charged to the one ``meter`` (a fresh ``Meter()`` when None).
+    decision rests on the certificate.  In the at-most-t case the
+    carry-free predicate is read off the certificate's horizons when
+    the certificate has the verdict's rho (it has when the verdict came
+    from these generators and p preserves the Newton polyhedron), so
+    the carry search runs once.  Every carry search is charged to the
+    one ``meter`` (a fresh ``Meter()`` when None).
     """
     _check_prime(p)
     if not isinstance(verdict, LctVerdict):
@@ -642,13 +646,16 @@ def verify_prime(generators, p, verdict, meter=None):
     preserved = newton_polyhedron_preserved(generators, p)
     if verdict.case == CASE_DIAGONAL_ABOVE_T:
         predicate_member = in_P_rho_0(verdict.rho_blocks, p)
-    else:
-        predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
+    certificate = fpt_bound(generators, p, meter) if preserved else None
+    if verdict.case != CASE_DIAGONAL_ABOVE_T:
+        if certificate is not None and certificate.rho_blocks == verdict.rho_blocks:
+            predicate_member = not certificate.finite_indices
+        else:
+            predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
     certificate_kind = None
     certificate_value = None
     holds = False
     if preserved:
-        certificate = fpt_bound(generators, p, meter)
         certificate_kind = certificate.kind
         certificate_value = certificate.value
         if verdict.case == CASE_DIAGONAL_ABOVE_T:

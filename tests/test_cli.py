@@ -3,6 +3,7 @@
 import importlib.metadata
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import fptcert
 from fptcert.cli import main
+from test_parse_differential import random_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +113,24 @@ def test_digits(capsys):
     }
     _, payload, _ = run_json(capsys, "digits", "--alpha", "1/3", "--p", "2")
     assert len(payload["result"]["prefix"]) == 12
+
+
+def test_digits_count_budget(capsys):
+    """The prefix is charged one multiset per digit before it is built,
+    so a huge --count is refused instead of allocated."""
+    argv = ["digits", "--alpha", "1/3", "--p", "2", "--max-multisets", "5"]
+    code, payload, _ = run_json(capsys, *argv, "--count", "5")
+    assert code == 0
+    assert payload["result"]["prefix"] == [0, 1, 0, 1, 0]
+    code, payload, _ = run_json(capsys, *argv, "--count", "6")
+    assert code == 4
+    assert payload["error"] == {
+        "kind": "BudgetExceeded",
+        "message": "multiset budget exhausted (6 > 5)",
+    }
+    code, payload, _ = run_json(capsys, *argv[:-1], "1000", "--count", "1000000000")
+    assert code == 4
+    assert payload["error"]["message"] == "multiset budget exhausted (1001 > 1000)"
 
 
 def test_carry(capsys):
@@ -309,6 +329,25 @@ def test_parse_error_exit_two(capsys):
     assert payload["error"]["kind"] == "ParseError"
 
 
+def test_polynomial_text_never_crashes(capsys):
+    """Seeded random --gens text, a digit that int() rejects and an
+    exponent past the int string-conversion limit: every run exits 0, 2
+    or 3 and prints exactly one JSON document."""
+    rng = random.Random(12)
+    texts = [random_text(rng) for _ in range(600)]
+    for text in texts + ["x^\u00b2+y", "x^" + "1" * 4301 + "+y"]:
+        code, out, _ = run(capsys, "classify", "--vars", "x,y,z", "--gens=" + text)
+        assert code in (0, 2, 3), text
+        json.loads(out)
+    for text in ("x^\u00b2+y", "x^" + "1" * 4301 + "+y"):
+        code, payload, _ = run_json(
+            capsys, "fpt-bound", "--vars", "x,y", "--gens", text, "--p", "2"
+        )
+        assert code == 2
+        assert payload["error"]["kind"] == "ParseError"
+        assert payload["error"]["message"].endswith("(at position 2)")
+
+
 def test_composite_p_exit_two(capsys):
     code, payload, _ = run_json(capsys, "fpt-bound", *PAIR, "--p", "6")
     assert code == 2
@@ -368,10 +407,10 @@ def test_env_budgets(capsys, monkeypatch):
 def test_certificate_budgets(tmp_path, capsys, monkeypatch):
     """fpt-bound, fvol-bound and verify-prime charge their first-carry
     searches to the resolved budgets: x^2+y^3 at p=5 has rho = (1/2,
-    1/3), whose search takes 2 classes; verify-prime runs it twice
-    (carry-free predicate, then the certificate) on one meter."""
+    1/3), whose search takes 2 classes; verify-prime runs it once and
+    reads the carry-free predicate off the certificate's horizons."""
     gens = ["--vars", "x,y", "--gens", "x^2+y^3", "--p", "5"]
-    for command, edge in (("fpt-bound", 2), ("fvol-bound", 2), ("verify-prime", 4)):
+    for command, edge in (("fpt-bound", 2), ("fvol-bound", 2), ("verify-prime", 2)):
         code, payload, _ = run_json(capsys, command, *gens, "--max-multisets", str(edge))
         assert code == 0
         assert payload["input"]["budgets"]["max_multisets"] == edge

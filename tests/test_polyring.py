@@ -89,6 +89,21 @@ def test_parse_error_reports_position():
     assert info.value.exit_code == 2
 
 
+def test_parse_error_positions():
+    cases = [
+        ("x^\u00b2+y", "expected an unsigned integer", 2),  # isdigit, not decimal
+        ("x^" + "1" * 4301, "integer is too long", 2),  # past int's digit limit
+        ("1/ 0", "zero denominator", 2),  # just after '/', before the space
+        ("x+ ", "expected a term", 3),  # end of text
+        ("2 x 3", "unexpected character '3'", 4),
+    ]
+    for text, message, position in cases:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == "%s (at position %d)" % (message, position)
+        assert info.value.position == position
+
+
 def test_variable_list_validation():
     with pytest.raises(InputError):
         parse_polynomial("x", [])
