@@ -5,8 +5,8 @@ counts, vertex enumeration, the first-carry search) are metered.  Caps
 can be raised or lowered per call, through the CLI, or through
 environment variables:
 
-    FPTCERT_MAX_MULTISETS   product multisets examined / feasible bases visited /
-                            residue classes searched for a first carry
+    FPTCERT_MAX_MULTISETS   escape-search points and vectors tried / feasible
+                            bases visited / residue classes for a first carry
     FPTCERT_MAX_TERMS       pairwise term multiplications performed
     FPTCERT_MAX_DIMENSION   polytope dimension accepted by vertex listing
 """

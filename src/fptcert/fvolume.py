@@ -15,7 +15,13 @@ from fractions import Fraction
 from .basep import INFINITY
 from .errors import InputError
 from .geometry import exponent_matrix, reduce_generators, vertices
-from .thresholds import _block_floors, _escape_set, _to_fp_generators, fpt_bound
+from .thresholds import (
+    _block_floors,
+    _escape_set,
+    _escape_sets,
+    _to_fp_generators,
+    fpt_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,9 @@ def fvolume_lower_bound(generators, p, meter=None):
 def fvolume_points(ideals, e, budgets=None):
     """The escape set V(p^e) itself, sorted: all (n_1, ..., n_t) with
     a_1**n_1 ... a_t**n_t not inside the e-th Frobenius power of the
-    maximal ideal.  Found by the breadth-first search shared with nu
-    (thresholds._escape_set), which asserts that the set is downward
-    closed, as the containment order forces.
+    maximal ideal.  Read off the last level of the climb shared with nu
+    (thresholds._escape_sets), which asserts that every level is
+    downward closed, as the containment order forces.
     """
     return sorted(_escape_set(ideals, e, budgets))
 
@@ -88,17 +94,15 @@ def volume_witness_floor(certificate, scan_level):
 
 
 def fvolume_estimate(ideals, p, e_max, budgets=None):
-    """Rows (e, Card V(p^e), Card V(p^e) / p**(e t)) for e = 1..e_max.
+    """Rows (e, Card V(p^e), Card V(p^e) / p**(e t)) for e = 1..e_max,
+    all read from one climb (thresholds._escape_sets) and one meter.
     Rational generators are reduced mod p first."""
     if not isinstance(e_max, int) or e_max < 1:
         raise InputError("e_max must be a positive integer")
     fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
     t = len(fp_ideals)
-    rows = []
-    for e in range(1, e_max + 1):
-        card = fvolume_count(fp_ideals, e, budgets)
-        rows.append((e, card, Fraction(card, p ** (e * t))))
-    return rows
+    levels = enumerate(_escape_sets(fp_ideals, e_max, budgets), 1)
+    return [(e, len(v), Fraction(len(v), p ** (e * t))) for e, v in levels]
 
 
 def term_ideal_volume_bound(generators, budgets=None):

@@ -206,19 +206,20 @@ class _Box:
     exclusive bound b_i of its variable.  A polynomial in the box is a
     dict from a packed monomial to a coefficient in [1, p-1]; the
     constant 1 is {0: 1}.  Exponent e_i sits in field i of radix 2H,
-    where H is a power of two with H >= every bound, so the sum of two
-    packed monomials of the box never carries from one field into the
-    next.  Adding the bias sum (H - b_i) (2H)**i sets bit H of field i
-    exactly when e_i reaches b_i, so one AND with the guard mask
+    where H is the least power of two >= ``room`` (max(bounds) by
+    default), so the sum of two packed monomials of the box never
+    carries from one field into the next, and boxes of one room pack a
+    monomial alike.  Adding the bias sum (H - b_i) (2H)**i sets bit H of
+    field i exactly when e_i reaches b_i, so one AND with the guard mask
     sum H (2H)**i drops every term that leaves the box.
     """
 
     __slots__ = ("bounds", "p", "shift", "bias", "guard")
 
-    def __init__(self, bounds, p):
+    def __init__(self, bounds, p, room=None):
         self.bounds = tuple(bounds)
         self.p = p
-        half = 1 << (max(self.bounds) - 1).bit_length()
+        half = 1 << ((room or max(self.bounds)) - 1).bit_length()
         self.shift = half.bit_length()
         self.bias = self.key([half - b for b in self.bounds])
         self.guard = self.key([half] * len(self.bounds))

@@ -215,50 +215,41 @@ def witness_floor(certificate, scan_level):
     )
 
 
-def _compositions(total, parts):
-    """Nonnegative integer vectors with the given sum, in colex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _compositions(total - last, parts - 1):
-            yield rest + (last,)
+def _escape_sets(ideals, e, budgets=None):
+    """Yield the escape sets V(p), ..., V(p^e) of a tuple of ideals
+    a_1, ..., a_t over GF(p), level by level: V(q) holds the tuples
+    (n_1, ..., n_t) with a_1**n_1 ... a_t**n_t not inside
+    (x_1**q, ..., x_m**q).  Each level is a dict from a member to an
+    escaping generator exponent vector, whose entries over the
+    generators of a_i (listed last to first) sum to n_i.
 
+    Each level is a breadth-first search from the origin.  A point n is
+    a member, at the cost of one multiset, when m = ceil(n / p) is a
+    member one level down (V(1) is the origin): the p-th power of an
+    escaping product escapes one level up, and so does each product
+    dividing it, so p times the vector of m, lowered to the sums n_i,
+    escapes.  At any other point the vector of the first member parent,
+    grown by one in each generator slot of the ideal that grew, is
+    tried first, one multiset each.  If none escapes, all vectors are
+    walked depth first, ideal by ideal and each ideal's generators last
+    to first.  Vectors sharing a prefix share its product, and a prefix
+    whose product is empty ends its loop, since a larger last exponent
+    leaves it empty.  No exponent is tried that leaves more to place in
+    its ideal than the later slots can take, each at most its top: the
+    largest k with g**k nonempty in the box, at least p times its top
+    one level down.  Each full vector tried and each prefix cut off
+    costs one multiset.  The vectors only order the search: a member
+    not read off the level below is confirmed by a product.
 
-class _PowerCache:
-    """Lazily extended powers f**k of one packed polynomial, each formed
-    by the metered truncated product ``mul``."""
-
-    def __init__(self, poly, mul):
-        self.poly = poly
-        self.mul = mul
-        self.cache = [{0: 1}, poly]
-
-    def power(self, k):
-        while len(self.cache) <= k:
-            self.cache.append(self.mul(self.cache[-1], self.poly))
-        return self.cache[k]
-
-
-def _escape_set(ideals, e, budgets=None):
-    """The escape set V(p^e) of a tuple of ideals a_1, ..., a_t over
-    GF(p): the tuples (n_1, ..., n_t) with a_1**n_1 ... a_t**n_t not
-    inside (x_1**q, ..., x_m**q), q = p**e.  Returns a dict from each
-    member to an escaping generator exponent vector (None at the
-    origin, where the empty product 1 escapes).
-
-    Breadth-first search from the origin.  A point is a member when one
-    product of generator powers with exponents summing to n_i over the
-    generators of a_i escapes.  The escaping vector of the first member
-    parent, grown by one in each generator slot of the ideal that grew,
-    is tried first, then every other vector in turn; each candidate is
-    one multiset.  Powers and products are truncated to the box of
-    exponents below (q, ..., q) (``polyring._Box``): a term with some
-    exponent >= q lies in the Frobenius power and so does every multiple
-    of it, so a product escapes exactly when its truncation is nonzero,
-    and the test stops at the first empty partial product.  The
-    containment order makes the set downward closed, which the search
-    asserts.
+    Powers and products are truncated to the box below (q, ..., q)
+    (``polyring._Box``): a term with some exponent >= q lies in the
+    Frobenius power and so does every multiple of it, so a product
+    escapes exactly when its truncation is nonzero.  Over GF(p),
+    trunc_l(g**k) = Frob(trunc_(l-1)(g**(k div p))) trunc_l(g**(k mod p)),
+    where Frob multiplies each exponent by p and keeps each coefficient
+    (c**p = c); all levels pack a monomial alike, so Frob multiplies the
+    packed keys by p.  The search asserts that every level is downward
+    closed, as the containment order forces.
     """
     ideals = [tuple(gens) for gens in ideals]
     generators = _check_generators([g for gens in ideals for g in gens])
@@ -271,88 +262,174 @@ def _escape_set(ideals, e, budgets=None):
     if not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
 
+    # slots list each ideal's generators last to first, so that the walk
+    # below meets vectors in colex order within each ideal
+    generators = [g for gens in ideals for g in reversed(gens)]
+    p, t, r = ring.p, len(ideals), len(generators)
     meter = Meter(budgets)
-    box = _Box([ring.p**e] * generators[0].varcount, ring.p)
-    mul = functools.partial(meter.mul, box)
-    powers = [_PowerCache(box.pack(g), mul) for g in generators]
-    sizes = [len(gens) for gens in ideals]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    t = len(ideals)
+    offsets = list(itertools.accumulate(map(len, ideals), initial=0))
+    owner = [i for i, gens in enumerate(ideals) for _ in gens]
+    one = {0: 1}
+    # levels[l]: the metered product of the level-l box, the powers
+    # trunc_l(g_j**k) for k < p (every k at level 1) in one list per
+    # generator, and those for k >= p keyed by (j, k).  A level-l power
+    # may read any level below through k div p**i; the lower levels
+    # together hold far fewer terms than the top one.
+    levels = [None]
 
-    def escapes(vector):
-        product = None
-        for power, k in zip(powers, vector):
+    def power(level, j, k):
+        mul, rows, high = levels[level]
+        if k < p or level == 1:
+            row = rows[j]
+            while len(row) <= k:
+                row.append(mul(row[-1], row[1]))
+            return row[k]
+        if (j, k) not in high:
+            frob = {key * p: c for key, c in power(level - 1, j, k // p).items()}
+            high[j, k] = mul(frob, power(level, j, k % p)) if k % p else frob
+        return high[j, k]
+
+    def escapes(level, vector):
+        mul = levels[level][0]
+        product = one
+        for j, k in enumerate(vector):
             if k:
-                factor = power.power(k)
-                product = factor if product is None else mul(product, factor)
+                factor = power(level, j, k)
+                product = factor if product is one else mul(product, factor)
                 if not product:
                     return False
         return True
 
-    def candidates(point, witness, grown):
-        tried = set()
-        if witness is not None:
-            for j in range(offsets[grown], offsets[grown + 1]):
-                vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
-                tried.add(vector)
-                yield vector
-        for parts in itertools.product(*map(_compositions, point, sizes)):
-            vector = sum(parts, ())
-            if vector not in tried:
-                yield vector
+    def walk(level, point):
+        # Frames (j, rest, product, k): exponent k of generator j after
+        # ``product``, the powers of vector[:j], with ``rest`` still to
+        # place in its ideal.
+        mul = levels[level][0]
+        vector = [0] * r
+        stack = [(0, point[0], one, 0)]
+        while stack:
+            j, rest, product, k = stack.pop()
+            i = owner[j]
+            last = j + 1 == offsets[i + 1]
+            if last:
+                k = rest
+            else:
+                k = max(k, rest - room[j + 1])
+                if k > rest:
+                    continue
+            vector[j] = k
+            factor = product
+            if k:
+                factor = power(level, j, k)
+                factor = factor if product is one else mul(product, factor)
+            if not factor or j + 1 == r:
+                meter.charge_multisets()
+                if factor:
+                    return tuple(vector)
+                continue
+            if not last:
+                stack.append((j, rest, product, k + 1))
+            rest = point[i + 1] if last else rest - k
+            stack.append((j + 1, rest, factor, 0))
+        return None
+
+    def lowered(vector, point):
+        # p * vector, each ideal's entries lowered in slot order to the
+        # sum point[i]
+        out = [p * k for k in vector]
+        for i, n in enumerate(point):
+            extra = sum(out[offsets[i]:offsets[i + 1]]) - n
+            for j in range(offsets[i], offsets[i + 1]):
+                cut = min(extra, out[j])
+                out[j] -= cut
+                extra -= cut
+        return tuple(out)
 
     def successors(point):
         return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(t)]
 
     origin = (0,) * t
-    members = {origin: None}
-    seen = {origin}
-    queue = collections.deque(successors(origin))
-    while queue:
-        point = queue.popleft()
-        if point in seen:
-            continue
-        seen.add(point)
-        parents = [
-            (i, point[:i] + (point[i] - 1,) + point[i + 1:])
-            for i in range(t)
-            if point[i]
-        ]
-        grown, parent = next((i, q) for i, q in parents if q in members)
-        for vector in candidates(point, members[parent], grown):
-            meter.charge_multisets()
-            if escapes(vector):
-                break
-        else:
-            continue
-        if any(q not in members for _, q in parents):
-            raise FptcertError(
-                "internal: escape set not downward closed at %r" % (point,)
-            )
-        members[point] = vector
-        queue.extend(successors(point))
-    return members
+    below = {origin: (0,) * r}
+    tops = [0] * r
+    for level in range(1, e + 1):
+        box = _Box([p**level] * generators[0].varcount, p, p**e)
+        rows = [[one, box.pack(g)] for g in generators]
+        levels.append((functools.partial(meter.mul, box), rows, {}))
+        # tops[j]: the largest k with trunc_l(g_j**k) nonempty, at least
+        # p times its value one level down, since Frob keeps g**(p k)
+        # nonempty; room[j]: the sum of tops over slots j, j+1, ... of
+        # its ideal
+        tops = [p * k for k in tops]
+        room = [0] * (r + 1)
+        for j in reversed(range(r)):
+            while power(level, j, tops[j] + 1):
+                tops[j] += 1
+            room[j] = tops[j]
+            if j + 1 < offsets[owner[j] + 1]:
+                room[j] += room[j + 1]
+        members = {origin: below[origin]}
+        seen = {origin}
+        queue = collections.deque(successors(origin))
+        while queue:
+            point = queue.popleft()
+            if point in seen:
+                continue
+            seen.add(point)
+            parents = [
+                (i, point[:i] + (point[i] - 1,) + point[i + 1:])
+                for i in range(t)
+                if point[i]
+            ]
+            # with one generator per ideal (r == t) a point's only
+            # vector is the point, so the grown vector is the whole search
+            up = tuple(-(-n // p) for n in point)
+            if up in below:
+                meter.charge_multisets()
+                vector = lowered(below[up], point) if r > t else point
+            else:
+                grown, parent = next((i, q) for i, q in parents if q in members)
+                witness = members[parent]
+                for j in range(offsets[grown], offsets[grown + 1]):
+                    vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+                    meter.charge_multisets()
+                    if escapes(level, vector):
+                        break
+                else:
+                    vector = walk(level, point) if r > t else None
+                    if vector is None:
+                        continue
+            if any(q not in members for _, q in parents):
+                raise FptcertError(
+                    "internal: escape set not downward closed at %r" % (point,)
+                )
+            members[point] = vector
+            queue.extend(successors(point))
+        yield members
+        below = members
+
+
+def _escape_set(ideals, e, budgets=None):
+    """V(p^e), the last level of _escape_sets."""
+    return collections.deque(_escape_sets(ideals, e, budgets), maxlen=1).pop()
 
 
 def nu(generators, e, budgets=None):
     """max{c : (f_1, ..., f_t)**c is not inside (x_1**q, ..., x_m**q)}
     for q = p**e.  Generators must be nonzero members of the maximal
     ideal over GF(p).  For one ideal the escape set is {0, ..., nu}, so
-    this is Card V(p^e) - 1 (see _escape_set).
+    this is Card V(p^e) - 1 (see _escape_sets).
     """
     return len(_escape_set([generators], e, budgets)) - 1
 
 
 def fpt_estimate(generators, p, e_max, budgets=None):
-    """Rows (e, nu(p**e), nu(p**e)/p**e) for e = 1..e_max."""
+    """Rows (e, nu(p**e), nu(p**e)/p**e) for e = 1..e_max, all read
+    from one climb (_escape_sets) and one meter."""
     if not isinstance(e_max, int) or e_max < 1:
         raise InputError("e_max must be a positive integer")
     fp_gens = _to_fp_generators(generators, p)
-    rows = []
-    for e in range(1, e_max + 1):
-        value = nu(fp_gens, e, budgets)
-        rows.append((e, value, Fraction(value, p**e)))
-    return rows
+    levels = enumerate(_escape_sets([fp_gens], e_max, budgets), 1)
+    return [(e, len(v) - 1, Fraction(len(v) - 1, p**e)) for e, v in levels]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ the oracles that validate them, and the command-line surface."""
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from fptcert.basep import digit_at, multinomial_nonzero_mod_p
 from fptcert.cli import main
@@ -300,3 +302,12 @@ def test_c10_lucas_equivalence():
             for k in range(1, e + 1)
         )
         assert exact_nonzero == lucas == carry_free
+
+
+def test_readme_library_example():
+    # the Python example of the README's Library section runs as printed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "nu(" in example
+    exec(compile(example, "README.md", "exec"), {})

@@ -1,10 +1,13 @@
 """Exact budget edges of the metered oracles.
 
 Every product inside a Frobenius box is charged len(a) * len(b) term
-operations of its truncated operands before it is formed, and every
-candidate product one multiset, so a fixed input spends a fixed total:
-a cap equal to that total lets the call finish and a cap one below it
-stops the call.
+operations of its truncated operands before it is formed.  The escape
+search charges one multiset for every point it accepts from the level
+below and, for every other point, one for each grown vector of a member
+parent it tries and, in the walk after them, one for each exponent
+vector it tries in full and each prefix it cuts off at an empty
+product.  So a fixed input spends a fixed total: a cap equal to that
+total lets the call finish and a cap one below it stops the call.
 """
 
 import pytest
@@ -36,10 +39,10 @@ CALLS = {
 # polynomials; a budget that let the call finish then must still let it
 # finish. The exact total is what the call spends now.
 EDGES = [
-    ("nu", "max_terms", 38, 7),
-    ("nu", "max_multisets", 9, 7),
-    ("fvolume_count", "max_terms", 86, 26),
-    ("fvolume_count", "max_multisets", 25, 18),
+    ("nu", "max_terms", 38, 2),
+    ("nu", "max_multisets", 9, 9),
+    ("fvolume_count", "max_terms", 86, 19),
+    ("fvolume_count", "max_multisets", 25, 23),
     ("coefficient_witness", "max_terms", 30, 21),
 ]
 

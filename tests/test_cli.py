@@ -387,6 +387,17 @@ def test_budget_exit_four(capsys):
     assert code == 2
 
 
+def test_deep_climb_exit_four(capsys):
+    # a level's box is built only when the climb reaches it, so a huge e
+    # stops at the multiset cap after a few cheap levels
+    code, payload, _ = run_json(
+        capsys, "nu", "--vars", "x", "--gens", "x", "--p", "2", "--e", "12000",
+        "--max-multisets", "1000"
+    )
+    assert code == 4
+    assert payload["error"]["kind"] == "BudgetExceeded"
+
+
 def test_env_budgets(capsys, monkeypatch):
     monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "2")
     code, _, _ = run_json(capsys, "nu", *PAIR, "--p", "2", "--e", "2")

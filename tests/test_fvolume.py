@@ -189,6 +189,16 @@ def test_fvolume_estimate_frozen():
     ]
 
 
+def test_fvolume_estimate_rows_match_count():
+    # one climb yields every level; each row is the count at that e
+    ideals = fp_ideals(line_parabola(), 2)
+    rows = fvolume_estimate(ideals, 2, 4)
+    assert [e for e, _, _ in rows] == [1, 2, 3, 4]
+    for e, card, ratio in rows:
+        assert card == fvolume_count(ideals, e)
+        assert ratio == Fraction(card, 2 ** (2 * e))
+
+
 def test_volume_witness_floor():
     cert = fvolume_lower_bound(line_parabola(), 2)
     assert volume_witness_floor(cert, 1) == 0
@@ -233,6 +243,13 @@ def test_fvolume_budgets():
         fvolume_count(ideals, 1, Budgets(max_terms=1))
     with pytest.raises(BudgetExceeded):
         fvolume_count(ideals, 2, Budgets(max_multisets=2))
+
+
+def test_fvolume_count_many_generators():
+    # the depth-first walk keeps its own stack, so twelve hundred
+    # generators across the ideals stay clear of the recursion limit
+    x = reduce_mod_p(parse_polynomial("x", ("x",)), 2)
+    assert fvolume_count([[x] * 600, [x] * 600], 1) == 3
 
 
 def test_fvolume_validation():

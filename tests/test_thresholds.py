@@ -178,6 +178,39 @@ def test_nu_cubic_p7_e3_default_budgets():
     f = reduce_mod_p(parse_polynomial("x^3+y^3+z^3+x*y*z", XYZ), 7)
     assert nu([f], 3, Budgets()) == 342
 
+
+# Rows under the default budgets.  The first three ran out of them while
+# every level was searched from scratch; the climb reads most points off
+# the level below.
+CLIMB_TABLE = [
+    ("x^3+y^3+z^3+x*y*z", XYZ, 5, 4, 499),
+    ("x^3+y^3+z^3+x*y*z", XYZ, 11, 3, 1209),
+    # fpt(x^2+y^3) = 5/6 - 1/(6p) = 84/101 at p = 101, so nu = 84 p - 1
+    ("x^2+y^3", ("x", "y"), 101, 2, 8483),
+    # the maximal ideal (x, y), nu = 2 (p^e - 1), with a redundant
+    # quintic listed first: the depth-first walk cuts off each prefix
+    # whose product is empty instead of trying every composition
+    ("x^3*y^2+x^2*y^3,y,x", ("x", "y"), 7, 3, 684),
+    # three dense generators: the points above p nu(p^(e-1)) are found
+    # by growing a member parent's vector, not by walking every vector
+    ("x^2*y+4*x*y^2,x^2*y^2+x*y^3+x^2*y^3,4*x^2*y+3*x*y^3", ("x", "y"), 5, 3, 82),
+]
+
+
+@pytest.mark.parametrize("text,variables,p,e,expected", CLIMB_TABLE)
+def test_nu_climb_default_budgets(text, variables, p, e, expected):
+    generators = [reduce_mod_p(g, p) for g in gens(*text.split(","), variables=variables)]
+    assert nu(generators, e, Budgets()) == expected
+
+
+def test_nu_climb_is_metered():
+    # every point accepted from the level below costs a multiset, so a
+    # deep climb of (x) stops at the cap
+    x = reduce_mod_p(parse_polynomial("x", ("x",)), 2)
+    with pytest.raises(BudgetExceeded, match="multiset"):
+        nu([x], 20, Budgets(max_multisets=10**4))
+
+
 def test_nu_monomial_identities():
     # (x): nu = q - 1
     for p, e in ((2, 3), (3, 2), (5, 1)):
@@ -237,6 +270,16 @@ def test_fpt_estimate_pair_monotone():
         assert witness_floor(cert, e) <= ratio <= cert.upper_bound
     with pytest.raises(InputError):
         fpt_estimate(pair(), 2, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fpt_estimate_rows_match_nu(p):
+    # one climb yields every level; each row is the oracle at that e
+    rows = fpt_estimate(pair(), p, 4)
+    assert [e for e, _, _ in rows] == [1, 2, 3, 4]
+    for e, value, ratio in rows:
+        assert value == nu(fp_pair(p), e)
+        assert ratio == Fraction(value, p**e)
 
 
 def test_coefficient_witness_carry_free():
