@@ -6,6 +6,7 @@ get trailing digits p-1.  Digits are indexed from 1.  The convention
 for truncations is <alpha>_0 = 0 and <0>_e = 0.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -88,11 +89,18 @@ class DigitStream:
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
 
 
-def digits(alpha, p):
+@functools.cache
+def _digit_table(p, k):
+    """Block b in 0..p**k - 1 -> its k base-p digits, leading digit first."""
+    return list(itertools.product(range(p), repeat=k))
+
+
+def digits(alpha, p, meter=None):
     """DigitStream of alpha in (0, 1] in base p, with minimal preperiod.
 
     The expansion is the nonterminating one: digit k is
-    ceil(p**k * alpha) - 1 - p * (ceil(p**(k-1) * alpha) - 1).
+    ceil(p**k * alpha) - 1 - p * (ceil(p**(k-1) * alpha) - 1).  Each
+    period digit walked costs one multiset on ``meter``, if given.
     """
     _check_base(p)
     alpha = _as_fraction(alpha)
@@ -101,22 +109,40 @@ def digits(alpha, p):
     num, den = alpha.numerator, alpha.denominator
     # State r encodes the remaining value r/den in (0, 1]; the digit
     # emitted from state r is ceil(p*r/den) - 1, the next state p*r - d*den.
-    seen = {}
-    sequence = []
-    r = num
-    while r not in seen:
-        seen[r] = len(sequence)
+    # The preperiod lasts while den shares a prime with p (state j: num p^(j-1) % den).
+    rest, sequence, r = den, [], num
+    while (g := math.gcd(rest, p)) > 1:
+        rest //= g
         d = -((-p * r) // den) - 1
         sequence.append(d)
         r = p * r - d * den
-    start = seen[r]
-    stream = DigitStream(
-        base=p,
-        preperiod=tuple(sequence[:start]),
-        period=tuple(sequence[start:]),
-        value=alpha,
-    )
-    return stream
+    # Then r/den = first/rest, rest prime to p, walked one block of k
+    # digits per step.  As p**k <= rest < p**period, the period ends i
+    # digits into the step from state first * p**-i, for one i in 1..k.
+    first = r = r // (den // rest)
+    k, step = 1, p
+    while step * p <= min(rest, 4096):
+        k, step = k + 1, step * p
+    if k > 1:
+        table = _digit_table(p, k)
+        back = {first * pow(p, -i, rest) % rest: i for i in range(1, k + 1)}
+    period = []
+    while True:
+        if meter is not None:
+            meter.charge_multisets(k)
+        d = -((-step * r) // rest) - 1
+        if k == 1:  # no table: the period ends where the state returns
+            period.append(d)
+            r = p * r - d * rest
+            if r == first:
+                break
+        elif r in back:
+            period += table[d][: back[r]]
+            break
+        else:
+            period += table[d]
+            r = step * r - d * rest
+    return DigitStream(p, tuple(sequence), tuple(period), alpha)
 
 
 def digit_at(alpha, p, k):

@@ -61,8 +61,8 @@ class Meter:
         self.multisets = 0
         self.term_ops = 0
 
-    def charge_multisets(self):
-        self.multisets += 1
+    def charge_multisets(self, count=1):
+        self.multisets += count
         if self.multisets > self.budgets.max_multisets:
             raise BudgetExceeded(
                 "multiset budget exhausted (%d > %d)"

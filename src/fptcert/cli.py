@@ -19,6 +19,7 @@ import sys
 from collections import namedtuple
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
@@ -275,7 +276,7 @@ def _cmd_polytope(inp):
 
 @_command("digits", "nonterminating base-p digits of a rational", "alpha", "p", "count")
 def _cmd_digits(inp):
-    stream = digits(inp.alpha, inp.p)
+    stream = digits(inp.alpha, inp.p, Meter(inp.budgets))  # the walk's own meter
     meter = Meter(inp.budgets)
     for _ in range(inp.count):  # one multiset per prefix digit, before the list
         meter.charge_multisets()
@@ -430,6 +431,39 @@ def _render_text(payload):
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _flat_encoder(depth):  # C encoding, items one per line at depth, brackets bare
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _dumps_fallback(value, depth=0):
+    """json.dumps(value, indent=2), byte for byte: containers of scalars go
+    to the C encoder, whose one buffer keeps long digit lists small (a join
+    would hold a str per item); containers of containers (str keys) recurse."""
+    if type(value) in _LEAVES:
+        return _LEAVES[type(value)](value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _flat_encoder(0)(value)
+    is_dict, pad = isinstance(value, dict), "\n" + "  " * (depth + 1)
+    items = value.values() if is_dict else value
+    types = set(map(type, items))
+    if types == {str} and not is_dict:  # short in payloads: a join beats encoder set-up
+        body = ("," + pad).join(map(encode_basestring_ascii, value))
+    elif not any(issubclass(t, (dict, list, tuple)) for t in types):
+        body = _flat_encoder(depth + 1)(value)[1:-1]
+    else:
+        heads = (encode_basestring_ascii(k) + ": " if is_dict else "" for k in value)
+        body = ("," + pad).join(h + _dumps_fallback(v, depth + 1)
+                                for h, v in zip(heads, items))
+    return ("{%s}" if is_dict else "[%s]") % (pad + body + "\n" + "  " * depth)
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+# json.dumps indents in C since 3.13: drop the fallback at requires-python >= 3.13
+_dumps = (_dumps_fallback if sys.version_info < (3, 13)
+          else functools.partial(json.dumps, indent=2))
+
+
 def _run(argv):
     args = _build_parser().parse_args(argv)
     job = _load_job(args.job) if args.job else None
@@ -458,7 +492,7 @@ def _run(argv):
     if out_format == "text":
         sys.stdout.write(_render_text(payload))
     else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     return 0
 
 
@@ -467,7 +501,7 @@ def main(argv=None):
         return _run(argv)
     except FptcertError as exc:
         payload = {"error": {"kind": exc.kind, "message": str(exc)}}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code
 

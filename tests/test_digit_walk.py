@@ -1,0 +1,109 @@
+"""The k-digit period walk of ``basep.digits`` against the state-dict
+walk it replaced, and the multiset budget on the period."""
+
+import json
+import random
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from fptcert import basep
+from fptcert.basep import digits
+from fptcert.budgets import Budgets, Meter
+from fptcert.cli import main
+from fptcert.errors import BudgetExceeded
+
+
+def dict_walk(alpha, p):
+    """(preperiod, period) by the state walk that remembers every state."""
+    num, den = alpha.numerator, alpha.denominator
+    seen = {}
+    sequence = []
+    r = num
+    while r not in seen:
+        seen[r] = len(sequence)
+        d = -((-p * r) // den) - 1
+        sequence.append(d)
+        r = p * r - d * den
+    start = seen[r]
+    return tuple(sequence[:start]), tuple(sequence[start:])
+
+
+def _cases():
+    rng = random.Random(20240614)
+    bases = (2, 3, 4, 5, 6, 7, 10, 11, 13, 16, 64, 65, 101, 4099)
+    cases = []
+    for _ in range(4000):
+        p = rng.choice(bases)
+        shape = rng.randrange(4)
+        if shape == 0:
+            den = rng.randint(1, 60)
+        elif shape == 1:
+            den = rng.randint(1, 20000)
+        elif shape == 2:  # a power of p, at times with a cofactor
+            den = p ** rng.randint(0, 6) * rng.choice((1, 1, rng.randint(2, 500)))
+        else:  # a power of a factor of p times a denominator prime to it
+            q = rng.choice([q for q in (2, 3, 5, 13, 4099) if p % q == 0] or [p])
+            den = q ** rng.randint(1, 8) * rng.randint(1, 3000)
+        cases.append((rng.randint(1, den), den, p))
+    cases += [(1, 1, p) for p in (2, 3, 4, 6, 10, 101)]
+    cases += [(1, 40637, 2), (1, 1000003, 3), (7, 1000003, 3), (1, 2**20, 2), (5, 6**7, 6)]
+    return cases
+
+
+@pytest.fixture
+def table_sizes(monkeypatch):
+    sizes = []
+    build = basep._digit_table.__wrapped__
+
+    def recording(p, k):
+        table = build(p, k)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(basep, "_digit_table", recording)
+    return sizes
+
+
+def test_matches_dict_walk(table_sizes):
+    for num, den, p in _cases():
+        alpha = Fraction(num, den)
+        stream = digits(alpha, p)
+        assert (stream.preperiod, stream.period) == dict_walk(alpha, p), (num, den, p)
+    assert table_sizes and max(table_sizes) <= 4096
+
+
+def test_period_charged_per_digit():
+    # 1/40637 in base 2 walks 12 digits per step: 3,387 steps for its
+    # 40,636 period digits
+    meter = Meter(Budgets(max_multisets=40644))
+    assert len(digits(Fraction(1, 40637), 2, meter).period) == 40636
+    assert meter.multisets == 40644
+    with pytest.raises(BudgetExceeded):
+        digits(Fraction(1, 40637), 2, Meter(Budgets(max_multisets=40643)))
+    # a preperiod is not charged; a one-digit step is charged one
+    meter = Meter()
+    assert digits(Fraction(1, 12), 2, meter).period == (0, 1)
+    assert meter.multisets == 2
+
+
+def test_long_periods_under_default_budget(capsys):
+    code = main(["digits", "--alpha", "1/10000019", "--p", "2", "--count", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"]["kind"] == "BudgetExceeded"
+    assert main(["digits", "--alpha", "1/1000003", "--p", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["result"]["period"]) == 333334
+
+
+def test_walk_memory():
+    tracemalloc.start()
+    try:
+        stream = digits(Fraction(1, 1000003), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream.period) == 333334
+    assert peak <= 10 * 2**20
