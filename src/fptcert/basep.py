@@ -131,7 +131,7 @@ def digits(alpha, p, meter=None):
         if meter is not None:
             meter.charge_multisets(k)
         d = -((-step * r) // rest) - 1
-        if k == 1:  # no table: the period ends where the state returns
+        if k == 1:  # p**2 > rest: no table, no inverses; ends where the state returns
             period.append(d)
             r = p * r - d * rest
             if r == first:

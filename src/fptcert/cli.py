@@ -437,9 +437,8 @@ def _flat_encoder(depth):  # C encoding, items one per line at depth, brackets b
 
 
 def _dumps_fallback(value, depth=0):
-    """json.dumps(value, indent=2), byte for byte: containers of scalars go
-    to the C encoder, whose one buffer keeps long digit lists small (a join
-    would hold a str per item); containers of containers (str keys) recurse."""
+    """json.dumps(value, indent=2), byte for byte: containers of scalars go to
+    the C encoder (one buffer, small for long digit lists); the rest recurse."""
     if type(value) in _LEAVES:
         return _LEAVES[type(value)](value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -451,8 +450,9 @@ def _dumps_fallback(value, depth=0):
         body = ("," + pad).join(map(encode_basestring_ascii, value))
     elif not any(issubclass(t, (dict, list, tuple)) for t in types):
         body = _flat_encoder(depth + 1)(value)[1:-1]
-    else:
-        heads = (encode_basestring_ascii(k) + ": " if is_dict else "" for k in value)
+    else:  # keys as json.dumps writes them: a str escaped here, others by the C encoder
+        heads = ("" if not is_dict else encode_basestring_ascii(k) + ": " if type(k) is str
+                 else _flat_encoder(0)({k: 0})[1:-2] for k in value)
         body = ("," + pad).join(h + _dumps_fallback(v, depth + 1)
                                 for h, v in zip(heads, items))
     return ("{%s}" if is_dict else "[%s]") % (pad + body + "\n" + "  " * depth)

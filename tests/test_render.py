@@ -40,6 +40,7 @@ VALUES = [
     {"deep": [{"a": [1, [2, [3, {"b": (4, 5)}]]]}], "flat": (1, "2", None)},
     {1: "int keys", None: "n", True: 1.5, 2.5: None},
     {"nested": {2: 3, None: "x", False: 1.5}, "list": [{7: 1, 8.5: None}]},
+    {1: [2], None: {"a": 1}, 2.5: [], True: {3: [4]}, -0.0: {"x": [1]}, 'k"\n': [[]]},
 ]
 
 
