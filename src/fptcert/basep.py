@@ -116,32 +116,26 @@ def digits(alpha, p, meter=None):
         d = -((-p * r) // den) - 1
         sequence.append(d)
         r = p * r - d * den
-    # Then r/den = first/rest, rest prime to p, walked one block of k
-    # digits per step.  As p**k <= rest < p**period, the period ends i
-    # digits into the step from state first * p**-i, for one i in 1..k.
+    # Then r/den = first/rest, rest prime to p, walked one block of k digits
+    # per step.  As p**k <= rest < p**period, the period ends i <= k digits into
+    # the step from state first * p**-i, taken in (0, rest] as the states are.
     first = r = r // (den // rest)
     k, step = 1, p
     while step * p <= min(rest, 4096):
         k, step = k + 1, step * p
-    if k > 1:
-        table = _digit_table(p, k)
-        back = {first * pow(p, -i, rest) % rest: i for i in range(1, k + 1)}
+    table = _digit_table(p, k) if k > 1 else None
+    back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
     period = []
     while True:
         if meter is not None:
             meter.charge_multisets(k)
         d = -((-step * r) // rest) - 1
-        if k == 1:  # p**2 > rest: no table, no inverses; ends where the state returns
-            period.append(d)
-            r = p * r - d * rest
-            if r == first:
-                break
-        elif r in back:
-            period += table[d][: back[r]]
+        block = table[d] if k > 1 else (d,)
+        if r in back:
+            period += block[: back[r]]
             break
-        else:
-            period += table[d]
-            r = step * r - d * rest
+        period += block
+        r = step * r - d * rest
     return DigitStream(p, tuple(sequence), tuple(period), alpha)
 
 
@@ -283,20 +277,31 @@ def adds_without_carrying(alphas, p, meter=None):
     return not carry_horizon(alphas, p, meter).finite
 
 
+def _lucas(parts, p):
+    """Lucas: None when adding the parts in base p carries, else the
+    multinomials mod p of their digits, position by position, whose
+    product is (sum(parts); parts) mod p when p is prime.  Every carry
+    is read before any binomial is computed."""
+    columns = []
+    while any(parts):
+        column = [x % p for x in parts]
+        if sum(column) > p - 1:
+            return None
+        columns.append(column)
+        parts = [x // p for x in parts]
+    return (math.prod(map(math.comb, itertools.accumulate(c), c)) % p for c in columns)
+
+
 def multinomial_nonzero_mod_p(total, parts, p):
     """Whether the multinomial coefficient (total; parts) is nonzero
     mod p, decided digit-wise: by Lucas the coefficient is a unit
-    exactly when adding the parts in base p produces no carry.  No
-    factorials are computed."""
+    exactly when adding the parts in base p produces no carry
+    (``_lucas``).  No factorials are computed."""
     _check_base(p)
     parts = [int(x) for x in parts]
     if any(x < 0 for x in parts) or total != sum(parts):
         raise InputError("parts must be nonnegative and sum to total")
-    while any(parts):
-        if sum(x % p for x in parts) > p - 1:
-            return False
-        parts = [x // p for x in parts]
-    return True
+    return _lucas(parts, p) is not None
 
 
 def in_P_rho_0(blocks, p):

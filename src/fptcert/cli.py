@@ -254,7 +254,7 @@ def _rows_json(p, rows):
 @_command("polytope", "splitting polytope: matrix, maximum, maximal point, vertices",
           "vars", "gens", "p?")
 def _cmd_polytope(inp):
-    gens = _parse(inp.generators, inp.variables)
+    gens = inp.generators
     if inp.p is not None:
         gens = _to_fp_generators(gens, inp.p)
     matrix = exponent_matrix(reduce_generators(gens))
@@ -277,9 +277,8 @@ def _cmd_polytope(inp):
 @_command("digits", "nonterminating base-p digits of a rational", "alpha", "p", "count")
 def _cmd_digits(inp):
     stream = digits(inp.alpha, inp.p, Meter(inp.budgets))  # the walk's own meter
-    meter = Meter(inp.budgets)
-    for _ in range(inp.count):  # one multiset per prefix digit, before the list
-        meter.charge_multisets()
+    # one multiset per prefix digit, before the list, in one charge
+    Meter(inp.budgets).charge_multisets(min(inp.count, inp.budgets.max_multisets + 1))
     return {
         "alpha": str(inp.alpha),
         "p": inp.p,
@@ -300,14 +299,12 @@ def _cmd_carry(inp):
 @_command("fpt-bound", "threshold certificate (exact value or lower bound)",
           "vars", "gens", "p")
 def _cmd_fpt_bound(inp):
-    gens = _parse(inp.generators, inp.variables)
-    return fpt_bound(gens, inp.p, Meter(inp.budgets)).to_json_dict()
+    return fpt_bound(inp.generators, inp.p, Meter(inp.budgets)).to_json_dict()
 
 
 @_command("nu", "brute-force Frobenius escape level", "vars", "gens", "p", "e")
 def _cmd_nu(inp):
-    gens = _to_fp_generators(_parse(inp.generators, inp.variables), inp.p)
-    value = nu(gens, inp.e, inp.budgets)
+    value = nu(_to_fp_generators(inp.generators, inp.p), inp.e, inp.budgets)
     return {
         "p": inp.p,
         "e": inp.e,
@@ -318,22 +315,21 @@ def _cmd_nu(inp):
 
 @_command("fpt-estimate", "nu(p^e)/p^e for e = 1..e_max", "vars", "gens", "p", "e_max")
 def _cmd_fpt_estimate(inp):
-    gens = _parse(inp.generators, inp.variables)
-    return _rows_json(inp.p, fpt_estimate(gens, inp.p, inp.e_max, inp.budgets))
+    rows = fpt_estimate(inp.generators, inp.p, inp.e_max, inp.budgets)
+    return _rows_json(inp.p, rows)
 
 
 @_command("classify", "compare the diagonal threshold with the generator count",
           "vars", "gens")
 def _cmd_classify(inp):
-    return lct_fpt_classifier(_parse(inp.generators, inp.variables)).to_json_dict()
+    return lct_fpt_classifier(inp.generators).to_json_dict()
 
 
 @_command("verify-prime", "check a classifier verdict at one prime",
           "vars", "gens", "p")
 def _cmd_verify_prime(inp):
-    gens = _parse(inp.generators, inp.variables)
-    verdict = lct_fpt_classifier(gens)
-    check = verify_prime(gens, inp.p, verdict, Meter(inp.budgets))
+    verdict = lct_fpt_classifier(inp.generators)
+    check = verify_prime(inp.generators, inp.p, verdict, Meter(inp.budgets))
     verdict = verdict.with_checked(inp.p, check.holds)
     return {
         "verdict": verdict.to_json_dict(),
@@ -344,10 +340,9 @@ def _cmd_verify_prime(inp):
 @_command("fvol-bound", "volume lower bound for the principal ideals",
           "vars", "gens", "p", "counts_e_max?")
 def _cmd_fvol_bound(inp):
-    gens = _parse(inp.generators, inp.variables)
-    cert = fvolume_lower_bound(gens, inp.p, Meter(inp.budgets))
+    cert = fvolume_lower_bound(inp.generators, inp.p, Meter(inp.budgets))
     if inp.counts_e_max is not None:
-        ideals = [[g] for g in gens]
+        ideals = [[g] for g in inp.generators]
         rows = fvolume_estimate(ideals, inp.p, inp.counts_e_max, inp.budgets)
         cert = replace(cert, counts=tuple(rows))
     return cert.to_json_dict()
@@ -356,8 +351,7 @@ def _cmd_fvol_bound(inp):
 @_command("fvol-count", "brute-force escape-set cardinality",
           "vars", "ideals", "p", "e")
 def _cmd_fvol_count(inp):
-    ideals = _parse(inp.ideals, inp.variables)
-    fp_ideals = [_to_fp_generators(group, inp.p) for group in ideals]
+    fp_ideals = [_to_fp_generators(group, inp.p) for group in inp.ideals]
     count = fvolume_count(fp_ideals, inp.e, inp.budgets)
     return {"p": inp.p, "e": inp.e, "count": count}
 
@@ -365,15 +359,14 @@ def _cmd_fvol_count(inp):
 @_command("fvol-estimate", "normalized counts for e = 1..e_max",
           "vars", "ideals", "p", "e_max")
 def _cmd_fvol_estimate(inp):
-    ideals = _parse(inp.ideals, inp.variables)
-    return _rows_json(inp.p, fvolume_estimate(ideals, inp.p, inp.e_max, inp.budgets))
+    rows = fvolume_estimate(inp.ideals, inp.p, inp.e_max, inp.budgets)
+    return _rows_json(inp.p, rows)
 
 
 @_command("witness", "predicted vs expanded coefficient of the escape monomial",
           "vars", "gens", "p", "e")
 def _cmd_witness(inp):
-    gens = _parse(inp.generators, inp.variables)
-    return coefficient_witness(gens, inp.p, inp.e, inp.budgets).to_json_dict()
+    return coefficient_witness(inp.generators, inp.p, inp.e, inp.budgets).to_json_dict()
 
 
 @functools.cache
@@ -476,6 +469,9 @@ def _run(argv):
     values = _resolve_inputs(args, job, flags)
     inputs = {key: _jsonable(value) for key, value in values.items()}
     inputs["budgets"] = asdict(budgets)
+    for key in ("generators", "ideals"):  # parsed once; handlers get polynomials
+        if key in values:
+            values[key] = _parse(values[key], values["variables"])
     payload = {
         "command": args.command,
         "input": inputs,

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basep import INFINITY
-from .errors import InputError
 from .geometry import exponent_matrix, reduce_generators, vertices
 from .thresholds import (
     _block_floors,
     _escape_set,
-    _escape_sets,
-    _to_fp_generators,
+    _ladder,
     fpt_bound,
 )
 
@@ -94,15 +92,9 @@ def volume_witness_floor(certificate, scan_level):
 
 
 def fvolume_estimate(ideals, p, e_max, budgets=None):
-    """Rows (e, Card V(p^e), Card V(p^e) / p**(e t)) for e = 1..e_max,
-    all read from one climb (thresholds._escape_sets) and one meter.
-    Rational generators are reduced mod p first."""
-    if not isinstance(e_max, int) or e_max < 1:
-        raise InputError("e_max must be a positive integer")
-    fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
-    t = len(fp_ideals)
-    levels = enumerate(_escape_sets(fp_ideals, e_max, budgets), 1)
-    return [(e, len(v), Fraction(len(v), p ** (e * t))) for e, v in levels]
+    """Rows (e, Card V(p^e), Card V(p^e) / p**(e t)) for e = 1..e_max
+    (thresholds._ladder)."""
+    return [(e, n, Fraction(n, q)) for e, n, q in _ladder(ideals, p, e_max, budgets)]
 
 
 def term_ideal_volume_bound(generators, budgets=None):

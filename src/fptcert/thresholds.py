@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .basep import (
     INFINITY,
+    _lucas,
     carry_horizon,
     in_P_rho_0,
     in_P_rho_inf,
@@ -422,14 +423,21 @@ def nu(generators, e, budgets=None):
     return len(_escape_set([generators], e, budgets)) - 1
 
 
-def fpt_estimate(generators, p, e_max, budgets=None):
-    """Rows (e, nu(p**e), nu(p**e)/p**e) for e = 1..e_max, all read
-    from one climb (_escape_sets) and one meter."""
+def _ladder(ideals, p, e_max, budgets):
+    """Yield (e, Card V(p^e), p**(e t)) for e = 1..e_max, all read from
+    one climb (_escape_sets) over the t ideals and one meter.  Rational
+    generators are reduced mod p first."""
     if not isinstance(e_max, int) or e_max < 1:
         raise InputError("e_max must be a positive integer")
-    fp_gens = _to_fp_generators(generators, p)
-    levels = enumerate(_escape_sets([fp_gens], e_max, budgets), 1)
-    return [(e, len(v) - 1, Fraction(len(v) - 1, p**e)) for e, v in levels]
+    fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
+    for e, level in enumerate(_escape_sets(fp_ideals, e_max, budgets), 1):
+        yield e, len(level), p ** (e * len(fp_ideals))
+
+
+def fpt_estimate(generators, p, e_max, budgets=None):
+    """Rows (e, nu(p**e), nu(p**e)/p**e) for e = 1..e_max (_ladder)."""
+    rows = _ladder([generators], p, e_max, budgets)
+    return [(e, n - 1, Fraction(n - 1, q)) for e, n, q in rows]
 
 
 @dataclass(frozen=True)
@@ -477,18 +485,10 @@ def coefficient_witness(generators, p, e, budgets=None):
         raise InputError("e must be a positive integer")
     mapping, matrix, cert = _unique_rho(generators, p)
     meter = Meter(budgets)
-    rho_blocks = cert.blocks_of_rho
-    truncated = [
-        [truncation(a, p, e) for a in block] for block in rho_blocks
+    parts_per_block = [
+        [int(p**e * truncation(a, p, e)) for a in block] for block in cert.blocks_of_rho
     ]
-    q_scale = p**e
-    exponents = []
-    parts_per_block = []
-    for block in truncated:
-        parts = [int(q_scale * a) for a in block]
-        parts_per_block.append(parts)
-        exponents.append(sum(parts))
-
+    exponents = [sum(parts) for parts in parts_per_block]
     flat_parts = [x for parts in parts_per_block for x in parts]
     target = tuple(
         sum(col[i] * k for col, k in zip(matrix.columns, flat_parts))
@@ -504,18 +504,12 @@ def coefficient_witness(generators, p, e, budgets=None):
 
     expected = 1
     per_block = []
-    for i, parts in enumerate(parts_per_block):
-        multi = 1
-        running = 0
-        for part in parts:
-            running += part
-            multi = multi * math.comb(running, part) % p
-        cpow = 1
-        for coeff, part in zip(mapping.coeff_columns[i], parts):
-            cpow = cpow * pow(coeff, part, p) % p
-        per_block.append((exponents[i], tuple(parts), multi, cpow))
-        expected = expected * multi % p
-        expected = expected * cpow % p
+    for parts, q, coeffs in zip(parts_per_block, exponents, mapping.coeff_columns):
+        columns = _lucas(parts, p)  # None: a carry, so p divides the multinomial
+        multi = 0 if columns is None else math.prod(columns) % p
+        cpow = math.prod(pow(c, k, p) for c, k in zip(coeffs, parts)) % p
+        per_block.append((q, tuple(parts), multi, cpow))
+        expected = expected * multi * cpow % p
 
     return WitnessReport(
         p=p,
@@ -723,33 +717,27 @@ def verify_prime(generators, p, verdict, meter=None):
     preserved = newton_polyhedron_preserved(generators, p)
     if verdict.case == CASE_DIAGONAL_ABOVE_T:
         predicate_member = in_P_rho_0(verdict.rho_blocks, p)
-    certificate = fpt_bound(generators, p, meter) if preserved else None
-    if verdict.case != CASE_DIAGONAL_ABOVE_T:
+        certificate = fpt_bound(generators, p, meter) if preserved else None
+        holds = certificate is not None and certificate.value == verdict.value
+    else:
+        certificate = fpt_bound(generators, p, meter) if preserved else None
         if certificate is not None and certificate.rho_blocks == verdict.rho_blocks:
             predicate_member = not certificate.finite_indices
         else:
             predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
-    certificate_kind = None
-    certificate_value = None
-    holds = False
-    if preserved:
-        certificate_kind = certificate.kind
-        certificate_value = certificate.value
-        if verdict.case == CASE_DIAGONAL_ABOVE_T:
-            holds = certificate.value == verdict.value
-        else:
-            holds = (
-                certificate.kind == KIND_EXACT
-                and certificate.value == verdict.value
-            )
+        holds = (
+            certificate is not None
+            and certificate.kind == KIND_EXACT
+            and certificate.value == verdict.value
+        )
     return PrimeCheck(
         p=p,
         case=verdict.case,
         target_value=verdict.value,
         newton_preserved=preserved,
         predicate_member=predicate_member,
-        certificate_kind=certificate_kind,
-        certificate_value=certificate_value,
+        certificate_kind=None if certificate is None else certificate.kind,
+        certificate_value=None if certificate is None else certificate.value,
         holds=holds,
         big_enough_caveat=True,
     )
