@@ -8,6 +8,7 @@ polytope is {gamma >= 0 : E gamma <= 1}.
 """
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -235,6 +236,15 @@ def maximal_point(matrix):
         coordinate_ranges=ranges,
         dual=dual,
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _solved(matrix):
+    """``maximal_point`` of an exponent matrix, solved once per matrix
+    for the certificate pipeline: the polytope does not depend on p.
+    The memo is bounded, keeps no exceptions, and calls the module's
+    ``maximal_point``, whose dual check runs on every miss."""
+    return maximal_point(matrix)
 
 
 def _check_dual_certificate(rows, gamma, y, M):

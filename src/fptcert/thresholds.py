@@ -34,8 +34,8 @@ from .errors import (
 )
 from .geometry import (
     _check_generators,
+    _solved,
     exponent_matrix,
-    maximal_point,
     newton_min_diagonal,
     reduce_generators,
 )
@@ -97,7 +97,7 @@ def _unique_rho(generators, p):
     fp_gens = _to_fp_generators(generators, p)
     mapping = reduce_generators(fp_gens)
     matrix = exponent_matrix(mapping)
-    cert = maximal_point(matrix)
+    cert = _solved(matrix)
     if not cert.unique:
         free = cert.free_coordinates
         raise NonUniqueMaximalPoint(
@@ -583,7 +583,7 @@ def lct_fpt_classifier(generators):
             )
     mapping = reduce_generators(generators)
     matrix = exponent_matrix(mapping)
-    cert = maximal_point(matrix)
+    cert = _solved(matrix)
     if not cert.unique:
         free = cert.free_coordinates
         raise NonUniqueMaximalPoint(
