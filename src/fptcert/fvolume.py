@@ -64,8 +64,8 @@ def fvolume_points(ideals, e, budgets=None):
     """The escape set V(p^e) itself, sorted: all (n_1, ..., n_t) with
     a_1**n_1 ... a_t**n_t not inside the e-th Frobenius power of the
     maximal ideal.  Read off the last level of the climb shared with nu
-    (thresholds._escape_sets), which asserts that every level is
-    downward closed, as the containment order forces.
+    (thresholds._escape_sets): each level's image is downward closed by
+    construction, and the climb checks that the shell keeps it so.
     """
     return sorted(_escape_set(ideals, e, budgets))
 

@@ -224,23 +224,25 @@ def _escape_sets(ideals, e, budgets=None):
     escaping generator exponent vector, whose entries over the
     generators of a_i (listed last to first) sum to n_i.
 
-    Each level is a breadth-first search from the origin.  A point n is
-    a member, at the cost of one multiset, when m = ceil(n / p) is a
-    member one level down (V(1) is the origin): the p-th power of an
-    escaping product escapes one level up, and so does each product
-    dividing it, so p times the vector of m, lowered to the sums n_i,
-    escapes.  At any other point the vector of the first member parent,
-    grown by one in each generator slot of the ideal that grew, is
-    tried first, one multiset each.  If none escapes, all vectors are
-    walked depth first, ideal by ideal and each ideal's generators last
-    to first.  Vectors sharing a prefix share its product, and a prefix
-    whose product is empty ends its loop, since a larger last exponent
-    leaves it empty.  No exponent is tried that leaves more to place in
-    its ideal than the later slots can take, each at most its top: the
-    largest k with g**k nonempty in the box, at least p times its top
-    one level down.  Each full vector tried and each prefix cut off
-    costs one multiset.  The vectors only order the search: a member
-    not read off the level below is confirmed by a product.
+    A level's image, the n with m = ceil(n / p) a member one level down
+    (V(1) is the origin), lies inside it: the p-th power of an escaping
+    product escapes one level up, and so does each product dividing it, so p
+    times the vector of m, lowered to the sums n_i, escapes.  It is charged,
+    a multiset per point but the origin, then built a box per m.  The shell,
+    the other members and the non-members next to them, is searched by |n|,
+    parents first, from the frontier: the points past a top face n_i = p m_i
+    of a box whose m + e_i is no member one level down.  At each point the
+    vector of the first member parent, grown by one in each generator slot
+    of the ideal that grew, is tried first, one multiset each.  If none
+    escapes, all vectors are walked depth first, ideal by ideal and each
+    ideal's generators last to first.  Vectors sharing a prefix share its
+    product, and a prefix whose product is empty ends its loop, since a
+    larger last exponent leaves it empty.  No exponent is tried that leaves
+    more to place in its ideal than the later slots can take, each at most
+    its top: the largest k with g**k nonempty in the box, at least p times
+    its top one level down.  Each full vector tried and each prefix cut off
+    costs one multiset.  The vectors only order the search: a member not
+    read off the level below is confirmed by a product.
 
     Powers and products are truncated to the box below (q, ..., q)
     (``polyring._Box``): a term with some exponent >= q lies in the
@@ -249,8 +251,8 @@ def _escape_sets(ideals, e, budgets=None):
     trunc_l(g**k) = Frob(trunc_(l-1)(g**(k div p))) trunc_l(g**(k mod p)),
     where Frob multiplies each exponent by p and keeps each coefficient
     (c**p = c); all levels pack a monomial alike, so Frob multiplies the
-    packed keys by p.  The search asserts that every level is downward
-    closed, as the containment order forces.
+    packed keys by p.  Every level is downward closed, as the containment
+    order forces: the image by construction, the shell as the search asserts.
     """
     ideals = [tuple(gens) for gens in ideals]
     generators = _check_generators([g for gens in ideals for g in gens])
@@ -260,7 +262,7 @@ def _escape_sets(ideals, e, budgets=None):
     if not isinstance(ring, IntegersMod):
         raise RingMismatch("the Frobenius oracles need generators over GF(p)")
     _check_prime(ring.p)
-    if not isinstance(e, int) or e < 1:
+    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
 
     # slots list each ideal's generators last to first, so that the walk
@@ -368,26 +370,33 @@ def _escape_sets(ideals, e, budgets=None):
             room[j] = tops[j]
             if j + 1 < offsets[owner[j] + 1]:
                 room[j] += room[j + 1]
-        members = {origin: below[origin]}
-        seen = {origin}
-        queue = collections.deque(successors(origin))
-        while queue:
-            point = queue.popleft()
-            if point in seen:
-                continue
-            seen.add(point)
-            parents = [
-                (i, point[:i] + (point[i] - 1,) + point[i + 1:])
-                for i in range(t)
-                if point[i]
-            ]
-            # with one generator per ideal (r == t) a point's only
-            # vector is the point, so the grown vector is the whole search
-            up = tuple(-(-n // p) for n in point)
-            if up in below:
-                meter.charge_multisets()
-                vector = lowered(below[up], point) if r > t else point
-            else:
+        # the image, charged before it is built, at most one past the cap
+        size = sum(p ** sum(map(bool, m)) for m in below)
+        left = meter.budgets.max_multisets - meter.multisets
+        meter.charge_multisets(min(size - 1, left + 1))
+        members = {}
+        layers = collections.defaultdict(set)
+        for m, vector in below.items():
+            ranges = [range(p * k - p + 1 if k else 0, p * k + 1) for k in m]
+            for point in itertools.product(*ranges):
+                members[point] = lowered(vector, point) if r > t else point
+            # past the top face n_i = p m_i lies the box of m + e_i
+            for i, up in enumerate(successors(m)):
+                if up not in below:
+                    face = ranges[:i] + [(p * m[i] + 1,)] + ranges[i + 1:]
+                    for point in itertools.product(*face):
+                        layers[sum(point)].add(point)
+        # the shell, one layer |n| = depth at a time, all outside the image
+        depth = min(layers)
+        while layers:
+            for point in layers.pop(depth, ()):
+                parents = [
+                    (i, point[:i] + (point[i] - 1,) + point[i + 1:])
+                    for i in range(t)
+                    if point[i]
+                ]
+                # with one generator per ideal (r == t) a point's only
+                # vector is the point, so the grown vector is the whole search
                 grown, parent = next((i, q) for i, q in parents if q in members)
                 witness = members[parent]
                 for j in range(offsets[grown], offsets[grown + 1]):
@@ -399,12 +408,13 @@ def _escape_sets(ideals, e, budgets=None):
                     vector = walk(level, point) if r > t else None
                     if vector is None:
                         continue
-            if any(q not in members for _, q in parents):
-                raise FptcertError(
-                    "internal: escape set not downward closed at %r" % (point,)
-                )
-            members[point] = vector
-            queue.extend(successors(point))
+                if any(q not in members for _, q in parents):
+                    raise FptcertError(
+                        "internal: escape set not downward closed at %r" % (point,)
+                    )
+                members[point] = vector
+                layers[depth + 1].update(successors(point))
+            depth += 1
         yield members
         below = members
 
@@ -427,7 +437,7 @@ def _ladder(ideals, p, e_max, budgets):
     """Yield (e, Card V(p^e), p**(e t)) for e = 1..e_max, all read from
     one climb (_escape_sets) over the t ideals and one meter.  Rational
     generators are reduced mod p first."""
-    if not isinstance(e_max, int) or e_max < 1:
+    if isinstance(e_max, bool) or not isinstance(e_max, int) or e_max < 1:
         raise InputError("e_max must be a positive integer")
     fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
     for e, level in enumerate(_escape_sets(fp_ideals, e_max, budgets), 1):
@@ -481,7 +491,7 @@ def coefficient_witness(generators, p, e, budgets=None):
     x**(p**e E <rho>_e) with the digit prediction:
     the product over blocks of the multinomial (Q_i; p**e <rho_i>_e)
     times the matching powers of the retained coefficients."""
-    if not isinstance(e, int) or e < 1:
+    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
         raise InputError("e must be a positive integer")
     mapping, matrix, cert = _unique_rho(generators, p)
     meter = Meter(budgets)

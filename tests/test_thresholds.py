@@ -14,7 +14,12 @@ from fptcert.errors import (
     NonUniqueMaximalPoint,
     RingMismatch,
 )
-from fptcert.fvolume import fvolume_lower_bound
+from fptcert.fvolume import (
+    fvolume_count,
+    fvolume_estimate,
+    fvolume_lower_bound,
+    fvolume_points,
+)
 from fptcert.polyring import QQ, Polynomial, parse_polynomial, reduce_mod_p
 from fptcert.thresholds import (
     CASE_DIAGONAL_ABOVE_T,
@@ -238,6 +243,27 @@ def test_nu_validation():
         nu([constant], 1)
     with pytest.raises(InputError):
         nu(fp_pair(2), 0)
+
+
+
+BOOL_EXPONENT_CALLS = {
+    "nu": lambda e: nu(fp_pair(2), e),
+    "fvolume_count": lambda e: fvolume_count([fp_pair(2)], e),
+    "fvolume_points": lambda e: fvolume_points([fp_pair(2)], e),
+    "fpt_estimate": lambda e: fpt_estimate(pair(), 2, e),
+    "fvolume_estimate": lambda e: fvolume_estimate([pair()], 2, e),
+    "coefficient_witness": lambda e: coefficient_witness(pair(), 2, e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_EXPONENT_CALLS))
+def test_bool_exponents_are_rejected(name):
+    # True == 1, so without the check a bool answers as e = 1
+    call = BOOL_EXPONENT_CALLS[name]
+    call(1)
+    for e in (True, False):
+        with pytest.raises(InputError):
+            call(e)
 
 
 def test_nu_budgets():
