@@ -55,9 +55,11 @@ def _check_base(p):
         raise InputError("base must be an integer >= 2, got %r" % (p,))
 
 
-def _check_position(k):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InputError("digit positions are integers >= 1, got %r" % (k,))
+def _check_int(value, name, low=1):
+    """Raise unless ``value`` is an int >= ``low`` (1 or 0) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InputError("%s must be a %s integer, got %r"
+                         % (name, "positive" if low else "nonnegative", value))
 
 
 def _as_fraction(alpha):
@@ -77,7 +79,7 @@ class DigitStream:
 
     def digit(self, k):
         """The k-th digit, k >= 1."""
-        _check_position(k)
+        _check_int(k, "digit position")
         if k <= len(self.preperiod):
             return self.preperiod[k - 1]
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
@@ -146,7 +148,7 @@ def digit_at(alpha, p, k):
     alpha = _as_fraction(alpha)
     if not (0 <= alpha <= 1):
         raise InputError("alpha must lie in [0, 1], got %s" % alpha)
-    _check_position(k)
+    _check_int(k, "digit position")
     if alpha == 0:
         return 0
     return math.ceil(p**k * alpha) - 1 - p * (math.ceil(p ** (k - 1) * alpha) - 1)
@@ -164,8 +166,7 @@ def truncation(alpha, p, e):
         raise InputError("alpha must lie in [0, 1], got %s" % alpha)
     if e == INFINITY:
         return alpha
-    if not isinstance(e, int) or e < 0:
-        raise InputError("truncation level must be a nonnegative integer or INFINITY")
+    _check_int(e, "truncation level", 0)
     if e == 0 or alpha == 0:
         return Fraction(0)
     return Fraction(math.ceil(p**e * alpha) - 1, p**e)

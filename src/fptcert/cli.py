@@ -101,8 +101,6 @@ def _norm_int(value, name):
 
 
 def _norm_fraction(value, flag, key=None):
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise InputError("%s must be a rational number" % flag)
     if isinstance(value, int):

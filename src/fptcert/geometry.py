@@ -311,7 +311,9 @@ def vertices(matrix, budgets=None):
     return sorted(found)
 
 
-def _dedupe_supports(supports):
+def _support_rows(supports):
+    """Validate a support set and return (rows, width) of E, whose
+    columns are its distinct points in sorted order."""
     cleaned = set()
     for vector in supports:
         try:
@@ -328,26 +330,16 @@ def _dedupe_supports(supports):
     lengths = {len(v) for v in cleaned}
     if len(lengths) != 1:
         raise InputError("support vectors have mixed lengths")
-    return sorted(cleaned)
+    return tuple(zip(*sorted(cleaned))), len(cleaned)
 
 
-def _newton_face(points):
-    """``_optimal_face`` with the support points as the columns of E.
-    Writing mu = lambda / s turns {lambda >= 0 : sum lambda = 1,
-    sum lambda_a a <= s (1, ..., 1)} into {mu >= 0 : E mu <= 1} with
-    |mu| = 1 / s, so the smallest diagonal point of the Newton
-    polyhedron is (1/M, ..., 1/M)."""
-    return _optimal_face(tuple(zip(*points)), len(points))
-
-
-def _diagonal_face(points):
-    """The optimal points mu with every row tight, E mu = 1: those are
-    M times the convex combinations of the points equal to
-    (1/M, ..., 1/M).  Returns the face dictionary restricted to them,
-    or None when there are none."""
-    k, m = len(points), len(points[0])
-    face = _newton_face(points)[0]
-    if face.maximize(dict.fromkeys(range(k, k + m), -1)) != 0:
+def _diagonal_face(rows, width):
+    """The optimal points mu of ``_optimal_face`` with every row tight,
+    E mu = 1: those are M times the convex combinations of the columns
+    equal to (1/M, ..., 1/M) (``newton_min_diagonal``).  Returns the face
+    dictionary restricted to them, or None when there are none."""
+    face = _optimal_face(rows, width)[0]
+    if face.maximize(dict.fromkeys(range(width, width + len(rows)), -1)) != 0:
         return None
     reduced = face.duals(face.nonbasic)
     face.restrict({v for v, r in zip(face.nonbasic, reduced) if r == 0})
@@ -357,30 +349,31 @@ def _diagonal_face(points):
 def newton_min_diagonal(supports):
     """The smallest s with (s, ..., s) inside the Newton polyhedron of
     the support set, 1 / M for the maximum M of |mu| over
-    {mu >= 0 : E mu <= 1} (``_newton_face``)."""
-    return 1 / _newton_face(_dedupe_supports(supports))[1]
+    {mu >= 0 : E mu <= 1}, the points the columns of E: writing
+    mu = lambda / s turns {lambda >= 0 : sum lambda = 1,
+    sum lambda_a a <= s (1, ..., 1)} into that polytope with |mu| = 1 / s."""
+    return 1 / _optimal_face(*_support_rows(supports))[1]
 
 
 def diagonal_position(supports):
     """Whether the diagonal ray meets a compact face of the Newton
     polyhedron: the point s* (1, ..., 1) must be a convex combination
     of the support vectors themselves, with no recession part."""
-    return _diagonal_face(_dedupe_supports(supports)) is not None
+    return _diagonal_face(*_support_rows(supports)) is not None
 
 
 def diagonal_face_columns(matrix):
     """Indices (0-based) of the columns lying on the face cut out by
     the diagonal ray.  Column j belongs to the face exactly when some
-    convex combination hitting s* (1, ..., 1) gives it positive weight.
+    convex combination hitting s* (1, ..., 1) gives it positive weight,
+    an LP optimum over the matrix's own rows.
     Raises NotDiagonal when the ray meets no compact face."""
-    columns = list(matrix.columns)
-    if len(set(columns)) != len(columns):
+    if len(set(matrix.columns)) != matrix.width:
         raise InputError("exponent matrix columns must be distinct")
-    points = _dedupe_supports(columns)
-    face = _diagonal_face(points)
+    _support_rows(matrix.columns)
+    face = _diagonal_face(matrix.rows, matrix.width)
     if face is None:
         raise NotDiagonal(
             "the diagonal ray misses every compact face of the Newton polyhedron"
         )
-    on_face = {point for j, point in enumerate(points) if face.maximize({j: 1}) > 0}
-    return tuple(j for j, col in enumerate(columns) if col in on_face)
+    return tuple(j for j in range(matrix.width) if face.maximize({j: 1}) > 0)

@@ -9,6 +9,7 @@ import operator
 import re
 from fractions import Fraction
 
+from .basep import _check_int
 from .errors import (
     DenominatorDivisibleByP,
     InputError,
@@ -182,8 +183,7 @@ class Polynomial:
 
 def poly_pow(a, n):
     """a**n for an integer n >= 0; a**0 is the constant 1."""
-    if not isinstance(n, int) or n < 0:
-        raise InputError("exponent must be a nonnegative integer, got %r" % (n,))
+    _check_int(n, "exponent", 0)
     return _power(a, n, operator.mul, Polynomial.one(a.ring, a.varcount))
 
 
@@ -289,8 +289,7 @@ def in_frobenius_power(a, e):
     polynomial is contained in every ideal."""
     if not isinstance(a.ring, IntegersMod):
         raise RingMismatch("Frobenius powers are tested over GF(p)")
-    if not isinstance(e, int) or e < 1:
-        raise InputError("e must be a positive integer, got %r" % (e,))
+    _check_int(e, "e")
     q = a.ring.p**e
     return all(any(exp >= q for exp in mon) for mon in a.terms)
 

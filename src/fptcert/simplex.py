@@ -189,12 +189,10 @@ def _phase_one(dictionary, aux):
         raise LpInfeasible("constraints admit no nonnegative solution")
 
     if aux in basic:
-        # Degenerate optimum: drive the auxiliary variable out.
+        # Degenerate optimum: drive the auxiliary variable out (Chvatal,
+        # Linear Programming, 1983).  Its row has a nonzero nonbasic entry:
+        # each slack is basic, a unit column in another row, or nonbasic,
+        # so an all-zero row would be a zero row of B^-1.
         r = basic.index(aux)
-        cols = [(vid, q) for q, vid in enumerate(nonbasic) if rows[r][1 + q] != 0]
-        if cols:
-            dictionary.pivot(r, min(cols)[1])
-        else:
-            del rows[r]
-            del basic[r]
+        dictionary.pivot(r, min((vid, q) for q, vid in enumerate(nonbasic) if rows[r][1 + q])[1])
     dictionary.restrict(set(nonbasic) - {aux})

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .basep import (
     INFINITY,
+    _check_int,
     _lucas,
     carry_horizon,
     in_P_rho_0,
@@ -91,18 +92,20 @@ def _to_fp_generators(generators, p):
     return tuple(out)
 
 
-def _unique_rho(generators, p):
-    """Shared pipeline: reduce mod p, build the exponent matrix, and
-    demand a unique maximal point.  Returns (mapping, matrix, cert)."""
-    fp_gens = _to_fp_generators(generators, p)
-    mapping = reduce_generators(fp_gens)
+def _unique_rho(generators, p=None):
+    """Shared pipeline: reduce mod p (unless p is None), build the
+    exponent matrix, and demand a unique maximal point.  Returns
+    (mapping, matrix, cert)."""
+    if p is not None:
+        generators = _to_fp_generators(generators, p)
+    mapping = reduce_generators(generators)
     matrix = exponent_matrix(mapping)
     cert = _solved(matrix)
     if not cert.unique:
         free = cert.free_coordinates
         raise NonUniqueMaximalPoint(
-            "the maximal face is not a point: %d coordinate(s) remain free, "
-            "so the face has dimension between 1 and %d" % (len(free), len(free)),
+            "the maximal face is not a point: %d coordinate(s) remain free" % len(free)
+            + ("" if p is None else ", so the face has dimension between 1 and %d" % len(free)),
             free_coordinates=free,
             coordinate_ranges=cert.coordinate_ranges,
         )
@@ -154,10 +157,9 @@ def _block_floors(p, rho_blocks, horizons, level):
     """
     if level == INFINITY:
         tail = 0
-    elif isinstance(level, int) and level >= 1:
-        tail = Fraction(1, p**level)
     else:
-        raise InputError("scan level must be a positive integer")
+        _check_int(level, "scan level")
+        tail = Fraction(1, p**level)
     floors = []
     for block, horizon in zip(rho_blocks, horizons):
         s = horizon.value
@@ -262,8 +264,7 @@ def _escape_sets(ideals, e, budgets=None):
     if not isinstance(ring, IntegersMod):
         raise RingMismatch("the Frobenius oracles need generators over GF(p)")
     _check_prime(ring.p)
-    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-        raise InputError("e must be a positive integer")
+    _check_int(e, "e")
 
     # slots list each ideal's generators last to first, so that the walk
     # below meets vectors in colex order within each ideal
@@ -437,8 +438,7 @@ def _ladder(ideals, p, e_max, budgets):
     """Yield (e, Card V(p^e), p**(e t)) for e = 1..e_max, all read from
     one climb (_escape_sets) over the t ideals and one meter.  Rational
     generators are reduced mod p first."""
-    if isinstance(e_max, bool) or not isinstance(e_max, int) or e_max < 1:
-        raise InputError("e_max must be a positive integer")
+    _check_int(e_max, "e_max")
     fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
     for e, level in enumerate(_escape_sets(fp_ideals, e_max, budgets), 1):
         yield e, len(level), p ** (e * len(fp_ideals))
@@ -491,8 +491,7 @@ def coefficient_witness(generators, p, e, budgets=None):
     x**(p**e E <rho>_e) with the digit prediction:
     the product over blocks of the multinomial (Q_i; p**e <rho_i>_e)
     times the matching powers of the retained coefficients."""
-    if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-        raise InputError("e must be a positive integer")
+    _check_int(e, "e")
     mapping, matrix, cert = _unique_rho(generators, p)
     meter = Meter(budgets)
     parts_per_block = [
@@ -591,17 +590,7 @@ def lct_fpt_classifier(generators):
             raise RingMismatch(
                 "classifier expects rational generators (generator %d)" % i
             )
-    mapping = reduce_generators(generators)
-    matrix = exponent_matrix(mapping)
-    cert = _solved(matrix)
-    if not cert.unique:
-        free = cert.free_coordinates
-        raise NonUniqueMaximalPoint(
-            "the maximal face is not a point: %d coordinate(s) remain free"
-            % len(free),
-            free_coordinates=free,
-            coordinate_ranges=cert.coordinate_ranges,
-        )
+    cert = _unique_rho(generators)[2]
     rho_blocks = cert.blocks_of_rho
     sums = tuple(sum(block, Fraction(0)) for block in rho_blocks)
     t = len(generators)

@@ -539,6 +539,70 @@ def test_job_budgets_and_format(tmp_path, capsys):
     assert payload["result"]["S"] == 1
 
 
+# (argv, job file contents or None, message): each exits 2 with an InputError
+INPUT_ERRORS = [
+    (["nu", "--vars", "x,y", "--gens", "x^2+y^3", "--p", "2", "--e", "0"], None,
+     "--e must be at least 1"),
+    (["fpt-bound", "--vars", "x,y", "--gens", "x^2+y^3", "--p", "1"], None,
+     "--p must be at least 2"),
+    (["fpt-bound"], [1], "job file must hold a JSON object"),
+    (["fpt-bound"], {"budgets": 5}, "job budgets must be an object"),
+    (["fpt-bound"], {"vars": "x", "gens": "x", "p": 2, "format": "xml"},
+     "job format must be 'json' or 'text'"),
+    (["fpt-bound"], {"vars": "x", "gens": "x", "p": "5"}, "--p must be an integer"),
+    (["fpt-bound"], {"vars": 5, "gens": "x", "p": 2},
+     "variables must be a comma-separated string or a list"),
+    (["fvol-count"], {"vars": "x,y", "ideals": 5, "p": 2, "e": 1},
+     "ideals must be ';'-separated groups or a list of lists"),
+    (["fvol-count", "--vars", "x,y", "--ideals", "x;;y", "--p", "2", "--e", "1"], None,
+     "ideal list has an empty entry"),
+    (["carry"], {"block": [], "p": 2}, "--block is empty"),
+    (["digits"], {"alpha": True, "p": 2}, "--alpha must be a rational number"),
+]
+
+
+@pytest.mark.parametrize("argv,job,message", INPUT_ERRORS)
+def test_input_errors(tmp_path, capsys, argv, job, message):
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = argv + ["--job", str(path)]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == {"kind": "InputError", "message": message}
+
+
+def test_job_values_of_other_json_types(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    # a block may mix rational strings and ints
+    job.write_text(json.dumps({"block": ["1/3", 1], "p": 2}))
+    code, payload, _ = run_json(capsys, "carry", "--job", str(job))
+    assert code == 0
+    assert payload["result"]["S"] == 1
+    job.write_text(json.dumps({"alpha": 1, "p": 2}))
+    code, payload, _ = run_json(capsys, "digits", "--job", str(job))
+    assert code == 0
+    assert payload["result"]["preperiod"] == []
+    assert payload["result"]["period"] == [1]
+
+
+def test_polytope_over_gf_p_and_vertex_cap(capsys):
+    # over GF(2) the term 2y^3 vanishes, so the generators are x^2 and y
+    code, payload, _ = run_json(
+        capsys, "polytope", "--vars", "x,y", "--gens", "x^2+2y^3,y", "--p", "2"
+    )
+    assert code == 0
+    assert payload["result"]["matrix"] == [[2, 0], [0, 1]]
+    # seven columns against a dimension cap of 2: the vertex list is dropped
+    code, payload, _ = run_json(
+        capsys, "polytope", "--vars", "x,y,z", "--gens", "x+y+z+x*y,y*z+x*z+x*y*z",
+        "--max-dimension", "2",
+    )
+    assert code == 0
+    assert payload["result"]["block_sizes"] == [4, 3]
+    assert payload["result"]["vertices"] is None
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "fpt-bound", *PAIR, "--p", "2", "--format", "text")
     assert code == 0

@@ -277,6 +277,13 @@ def test_fvolume_validation():
         fvolume_estimate([[g] for g in line_parabola()], 2, 0)
 
 
+def test_fvolume_count_empty_ideal_among_others():
+    # [[]] alone fails earlier, as a list with no generator at all
+    good = reduce_mod_p(parse_polynomial("x", ("x", "y")), 2)
+    with pytest.raises(InputError, match="^every ideal needs at least one generator$"):
+        fvolume_count([[good], []], 1)
+
+
 def test_term_ideal_volume_bound():
     best, witness = term_ideal_volume_bound(pair())
     assert best == Fraction(2, 9)

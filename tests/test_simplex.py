@@ -147,8 +147,42 @@ def _random_programs(seed, count):
         yield objective, lhs, rhs
 
 
-def test_random_programs_match_vertex_enumeration():
-    for objective, lhs, rhs in _random_programs(20260816, 60):
+def _degenerate_programs(seed, count):
+    """Seeded (objective, lhs, rhs) with fractional rows, each repeated
+    at 1-2 positive scales and sometimes with its reverse inequality too
+    (an equality), and negative right-hand sides: phase one often ends
+    degenerate, with the auxiliary variable basic at 0.  Box rows keep
+    every instance bounded."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        lhs, rhs = [], []
+        for _ in range(rng.randint(1, 3)):
+            row = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            b = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2)):
+                k = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                lhs.append([k * v for v in row])
+                rhs.append(k * b)
+                if rng.random() < 0.4:
+                    lhs.append([-k * v for v in row])
+                    rhs.append(-k * b)
+        for j in range(n):
+            unit = [F(0)] * n
+            unit[j] = F(1)
+            lhs.append(unit)
+            rhs.append(F(5))
+        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        yield objective, lhs, rhs
+
+
+@pytest.mark.parametrize(
+    "programs, seed",
+    [(_random_programs, 20260816), (_degenerate_programs, 20261018)],
+    ids=["random", "degenerate"],
+)
+def test_random_programs_match_vertex_enumeration(programs, seed):
+    for objective, lhs, rhs in programs(seed, 60):
         expected = _brute_force_max(objective, lhs, rhs)
         if expected is None:
             with pytest.raises(LpInfeasible):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptcert.basep import INFINITY, CarryHorizon, truncation
+from fptcert.basep import INFINITY, CarryHorizon, digit_at, digits, truncation
 from fptcert.budgets import Budgets
 from fptcert.errors import (
     BudgetExceeded,
@@ -19,8 +19,16 @@ from fptcert.fvolume import (
     fvolume_estimate,
     fvolume_lower_bound,
     fvolume_points,
+    volume_witness_floor,
 )
-from fptcert.polyring import QQ, Polynomial, parse_polynomial, reduce_mod_p
+from fptcert.polyring import (
+    QQ,
+    Polynomial,
+    in_frobenius_power,
+    parse_polynomial,
+    poly_pow,
+    reduce_mod_p,
+)
 from fptcert.thresholds import (
     CASE_DIAGONAL_ABOVE_T,
     CASE_DIAGONAL_AT_MOST_T,
@@ -253,6 +261,17 @@ BOOL_EXPONENT_CALLS = {
     "fpt_estimate": lambda e: fpt_estimate(pair(), 2, e),
     "fvolume_estimate": lambda e: fvolume_estimate([pair()], 2, e),
     "coefficient_witness": lambda e: coefficient_witness(pair(), 2, e),
+    "truncation": lambda e: truncation(Fraction(2, 3), 2, e),
+    "in_frobenius_power": lambda e: in_frobenius_power(
+        reduce_mod_p(parse_polynomial("x^2", ("x",)), 2), e
+    ),
+    "poly_pow": lambda e: poly_pow(parse_polynomial("x^2", ("x",)), e),
+    "witness_floor": lambda e: witness_floor(fpt_bound(pair(), 2), e),
+    "volume_witness_floor": lambda e: volume_witness_floor(
+        fvolume_lower_bound(pair(), 2), e
+    ),
+    "digit_at": lambda k: digit_at(Fraction(2, 3), 2, k),
+    "DigitStream.digit": lambda k: digits(Fraction(2, 3), 2).digit(k),
 }
 
 
