@@ -85,7 +85,9 @@ class DigitStream:
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
 
     def digits_prefix(self, e):
-        return [self.digit(k) for k in range(1, e + 1)]
+        _check_int(e, "prefix length", 0)
+        expansion = itertools.chain(self.preperiod, itertools.cycle(self.period))
+        return list(itertools.islice(expansion, e))  # no copy of a long period
 
     def to_json_dict(self):
         return {"preperiod": list(self.preperiod), "period": list(self.period)}
@@ -102,7 +104,8 @@ def digits(alpha, p, meter=None):
 
     The expansion is the nonterminating one: digit k is
     ceil(p**k * alpha) - 1 - p * (ceil(p**(k-1) * alpha) - 1).  Each
-    period digit walked costs one multiset on ``meter``, if given.
+    period digit walked costs one multiset on ``meter``, if given, in one
+    charge when the walk ends or at the step that would pass the cap.
     """
     _check_base(p)
     alpha = _as_fraction(alpha)
@@ -128,9 +131,9 @@ def digits(alpha, p, meter=None):
     table = _digit_table(p, k) if k > 1 else None
     back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
     period = []
-    while True:
-        if meter is not None:
-            meter.charge_multisets(k)
+    limit = None if meter is None else max(
+        (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
+    for steps in itertools.count(1) if meter is None else range(1, limit):
         d = -((-step * r) // rest) - 1
         block = table[d] if k > 1 else (d,)
         if r in back:
@@ -138,6 +141,10 @@ def digits(alpha, p, meter=None):
             break
         period += block
         r = step * r - d * rest
+    else:
+        meter.charge_multisets(k * limit)  # step limit passes the cap: it raises
+    if meter is not None:
+        meter.charge_multisets(k * steps)
     return DigitStream(p, tuple(sequence), tuple(period), alpha)
 
 

@@ -281,7 +281,7 @@ def _cmd_digits(inp):
         "alpha": str(inp.alpha),
         "p": inp.p,
         **stream.to_json_dict(),
-        "prefix": list(stream.digits_prefix(inp.count)),
+        "prefix": stream.digits_prefix(inp.count),
     }
 
 
@@ -428,8 +428,8 @@ def _flat_encoder(depth):  # C encoding, items one per line at depth, brackets b
 
 
 def _dumps_fallback(value, depth=0):
-    """json.dumps(value, indent=2), byte for byte: containers of scalars go to
-    the C encoder (one buffer, small for long digit lists); the rest recurse."""
+    """json.dumps(value, indent=2), byte for byte: lists of strs or plain ints
+    are joined from item texts, other scalar containers C-encoded; the rest recurse."""
     if type(value) in _LEAVES:
         return _LEAVES[type(value)](value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -439,6 +439,8 @@ def _dumps_fallback(value, depth=0):
     types = set(map(type, items))
     if types == {str} and not is_dict:  # short in payloads: a join beats encoder set-up
         body = ("," + pad).join(map(encode_basestring_ascii, value))
+    elif types == {int} and not is_dict:  # digit lists: cached texts beat one int per line
+        body = ("," + pad).join(map(_INT_TEXT.__getitem__, value))
     elif not any(issubclass(t, (dict, list, tuple)) for t in types):
         body = _flat_encoder(depth + 1)(value)[1:-1]
     else:  # keys as json.dumps writes them: a str escaped here, others by the C encoder
@@ -449,6 +451,17 @@ def _dumps_fallback(value, depth=0):
     return ("{%s}" if is_dict else "[%s]") % (pad + body + "\n" + "  " * depth)
 
 
+class _IntTexts(dict):
+    """int -> its decimal text, kept only when short, so the cache stays small."""
+
+    def __missing__(self, n):
+        text = int.__repr__(n)
+        if len(text) <= 4:
+            self[n] = text
+        return text
+
+
+_INT_TEXT = _IntTexts()
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
 # json.dumps indents in C since 3.13: drop the fallback at requires-python >= 3.13
 _dumps = (_dumps_fallback if sys.version_info < (3, 13)

@@ -320,7 +320,7 @@ def _support_rows(supports):
             vector = tuple(vector)
         except TypeError:
             raise InputError("support vector %r is not a sequence" % (vector,))
-        if any(not isinstance(v, int) or v < 0 for v in vector):
+        if any(type(v) is not int or v < 0 for v in vector):
             raise InputError("support vectors must have nonnegative integer entries")
         if not any(vector):
             raise NotInMaximalIdeal("support contains the zero vector")

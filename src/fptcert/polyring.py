@@ -102,7 +102,7 @@ class Polynomial:
                     "monomial %r has %d entries, expected %d"
                     % (monomial, len(monomial), varcount)
                 )
-            if any(not isinstance(e, int) or e < 0 for e in monomial):
+            if any(type(e) is not int or e < 0 for e in monomial):
                 raise InputError("exponents must be nonnegative integers")
             c = ring.coerce(coeff)
             if c:

@@ -108,6 +108,23 @@ def test_digit_positions_must_be_ints(k):
         digits(Fraction(1, 3), 2).digit(k)
 
 
+@pytest.mark.parametrize("e", [True, False, -1, 2.0, 0.5, "3", None])
+def test_prefix_length_must_be_an_int(e):
+    # True used to give [1], -1 gave [], and 2.0 raised a raw TypeError
+    with pytest.raises(InputError, match="prefix length must be a nonnegative integer"):
+        digits(Fraction(2, 3), 2).digits_prefix(e)
+
+
+def test_prefix_matches_digits():
+    rng = random.Random(19)
+    for _ in range(300):
+        den = rng.randint(1, 400)
+        p = rng.choice([2, 3, 4, 5, 6, 7, 10, 12])
+        stream = digits(Fraction(rng.randint(1, den), den), p)
+        for e in (0, 1, len(stream.preperiod), rng.randint(0, 3 * den)):
+            assert stream.digits_prefix(e) == [stream.digit(k) for k in range(1, e + 1)]
+
+
 def test_truncation_identities():
     alpha = Fraction(5, 6)
     assert truncation(alpha, 7, 0) == 0

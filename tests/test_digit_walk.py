@@ -1,7 +1,9 @@
 """The k-digit period walk of ``basep.digits`` against the state-dict
-walk it replaced, and the multiset budget on the period."""
+walk it replaced, the one charge per walk against the walk that charged
+every step, and the multiset budget on the period."""
 
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +30,35 @@ def dict_walk(alpha, p):
         r = p * r - d * den
     start = seen[r]
     return tuple(sequence[:start]), tuple(sequence[start:])
+
+
+def per_step_walk(alpha, p, meter):
+    """(preperiod, period) by the k-digit walk that charged ``meter`` k
+    multisets at the top of every step."""
+    num, den = alpha.numerator, alpha.denominator
+    rest, sequence, r = den, [], num
+    while (g := math.gcd(rest, p)) > 1:
+        rest //= g
+        d = -((-p * r) // den) - 1
+        sequence.append(d)
+        r = p * r - d * den
+    first = r = r // (den // rest)
+    k, step = 1, p
+    while step * p <= min(rest, 4096):
+        k, step = k + 1, step * p
+    table = basep._digit_table(p, k) if k > 1 else None
+    back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
+    period = []
+    while True:
+        meter.charge_multisets(k)
+        d = -((-step * r) // rest) - 1
+        block = table[d] if k > 1 else (d,)
+        if r in back:
+            period += block[: back[r]]
+            break
+        period += block
+        r = step * r - d * rest
+    return tuple(sequence), tuple(period)
 
 
 def _cases():
@@ -72,6 +103,33 @@ def test_matches_dict_walk(table_sizes):
         stream = digits(alpha, p)
         assert (stream.preperiod, stream.period) == dict_walk(alpha, p), (num, den, p)
     assert table_sizes and max(table_sizes) <= 4096
+
+
+def _charged(walk, cap, spent):
+    """What a walk on a meter of cap ``cap`` already charged ``spent``
+    leaves: its result or its BudgetExceeded message, and the total."""
+    meter = Meter(Budgets(max_multisets=cap))
+    meter.multisets = spent
+    try:
+        outcome = walk(meter)
+    except BudgetExceeded as exc:
+        outcome = str(exc)
+    return outcome, meter.multisets
+
+
+def test_one_charge_matches_per_step_charges():
+    rng = random.Random(19)
+    cases = rng.sample(_cases()[:4000], 600) + _cases()[-5:]
+    for num, den, p in cases:
+        alpha = Fraction(num, den)
+        for cap in (1, 5, 37, 200, Budgets().max_multisets):
+            for spent in (0, max(cap - 3, 0), cap + 1):
+                def walk(meter):
+                    stream = digits(alpha, p, meter)
+                    return stream.preperiod, stream.period
+
+                expected = _charged(lambda meter: per_step_walk(alpha, p, meter), cap, spent)
+                assert _charged(walk, cap, spent) == expected, (num, den, p, cap, spent)
 
 
 def test_period_charged_per_digit():

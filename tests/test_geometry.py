@@ -232,6 +232,12 @@ def test_newton_min_diagonal_validation():
             newton_min_diagonal({bad})
     with pytest.raises(InputError):
         newton_min_diagonal([1])
+    # a bool entry used to read as 1: this set answered 1
+    for bad in ([(True, 1), (1, 0)], [(0, False), (2, 0)]):
+        with pytest.raises(InputError, match="nonnegative integer entries"):
+            newton_min_diagonal(bad)
+        with pytest.raises(InputError, match="nonnegative integer entries"):
+            monomial_fpt(bad)
     with pytest.raises(InputError):
         monomial_fpt([None])
 

@@ -283,6 +283,13 @@ def test_polynomial_validation():
     assert Polynomial(QQ, 2, {(1, 0): Fraction(0)}).is_zero()
 
 
+@pytest.mark.parametrize("monomial", [(True,), (False,), (1.0,), (Fraction(1),)])
+def test_polynomial_exponents_must_be_ints(monomial):
+    # (True,) used to build x1 with the key (True,)
+    with pytest.raises(InputError, match="exponents must be nonnegative integers"):
+        Polynomial(QQ, 1, {monomial: 1})
+
+
 def test_polynomial_hash_consistency():
     a = parse("x+2*y")
     b = parse("2*y+x")

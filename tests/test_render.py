@@ -3,10 +3,13 @@ json.dumps(value, indent=2), on every Python (it is called directly,
 even where the CLI uses json.dumps itself)."""
 
 import json
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from fptcert import cli
+from fptcert.basep import digits
 
 PAIR = ["--vars", "x,y,z", "--gens", "x^2+x*y^2,y*z^3"]
 FERMAT6 = ["--vars", "x1,x2,x3,x4,x5,x6", "--gens", "x1^2+x2^3+x3^4,x4^2+x5^3+x6^4"]
@@ -41,12 +44,35 @@ VALUES = [
     {1: "int keys", None: "n", True: 1.5, 2.5: None},
     {"nested": {2: 3, None: "x", False: 1.5}, "list": [{7: 1, 8.5: None}]},
     {1: [2], None: {"a": 1}, 2.5: [], True: {3: [4]}, -0.0: {"x": [1]}, 'k"\n': [[]]},
+    [0, 9, 10, 999, 1000, 4095, 4096, -1, -999, 10**20],
+    (2, 0, 1, 1, 2),
+    {"a": [[[0, 1, 2], [3]], [[10**20, -5]]], "b": [[[[7, 7, 7]]]]},
+    [1, True],
+    [True, False],
+    [[1, 0], [True, False]],  # True == 1: bools must not read the texts cached for ints
+    [0, 1, 2] * 111111 + [1],
 ]
 
 
 @pytest.mark.parametrize("value", VALUES, ids=range(len(VALUES)))
 def test_fallback_matches_json_dumps(value):
+    # twice: the second rendering reads the texts the first one cached
     assert cli._dumps_fallback(value) == json.dumps(value, indent=2)
+    assert cli._dumps_fallback(value) == json.dumps(value, indent=2)
+
+
+def test_render_memory():
+    # the result of digits --alpha 1/1000003 --p 3: 333,334 period digits
+    stream = digits(Fraction(1, 1000003), 3)
+    payload = {"result": {**stream.to_json_dict(), "prefix": stream.digits_prefix(12)}}
+    tracemalloc.start()
+    try:
+        text = cli._dumps_fallback(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payload, indent=2)
+    assert peak <= 12 * 2**20
 
 
 COMMANDS = [
