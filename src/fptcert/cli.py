@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 from collections import namedtuple
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -30,6 +30,8 @@ from .fvolume import fvolume_count, fvolume_estimate, fvolume_lower_bound
 from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
 from .polyring import parse_polynomial
 from .thresholds import (
+    _json_fields,
+    _jsonable,
     _to_fp_generators,
     coefficient_witness,
     fpt_bound,
@@ -208,13 +210,6 @@ def _resolve_inputs(args, job, flags):
             value = spec.default
         values[spec.key] = value
     return values
-
-
-def _jsonable(value):
-    """JSON form of a value: rationals as strings, tuples as lists."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value) if isinstance(value, Fraction) else value
 
 
 def _parse(texts, variables):
@@ -479,7 +474,7 @@ def _run(argv):
     _, flags, handler = _COMMANDS[args.command]
     values = _resolve_inputs(args, job, flags)
     inputs = {key: _jsonable(value) for key, value in values.items()}
-    inputs["budgets"] = asdict(budgets)
+    inputs["budgets"] = _json_fields(budgets)
     for key in ("generators", "ideals"):  # parsed once; handlers get polynomials
         if key in values:
             values[key] = _parse(values[key], values["variables"])

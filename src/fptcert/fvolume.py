@@ -17,6 +17,7 @@ from .geometry import exponent_matrix, reduce_generators, vertices
 from .thresholds import (
     _block_floors,
     _escape_set,
+    _json_fields,
     _ladder,
     fpt_bound,
 )
@@ -35,11 +36,7 @@ class FVolumeCertificate:
     counts: tuple  # rows (e, card, normalized) or empty
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "bound": str(self.bound),
-            "counts": [[e, card, str(ratio)] for e, card, ratio in self.counts],
-        }
+        return _json_fields(self, rho_blocks=None, horizons=None, finite_indices=None)
 
 
 def fvolume_lower_bound(generators, p, meter=None):

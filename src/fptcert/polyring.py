@@ -82,6 +82,18 @@ def grlex_key(monomial):
     return (sum(monomial), tuple(-e for e in monomial))
 
 
+def _check_monomial(monomial, varcount):
+    """``monomial`` as a tuple of ``varcount`` nonnegative ints."""
+    monomial = tuple(monomial)
+    if len(monomial) != varcount:
+        raise InputError(
+            "monomial %r has %d entries, expected %d" % (monomial, len(monomial), varcount)
+        )
+    if any(type(e) is not int or e < 0 for e in monomial):
+        raise InputError("exponents must be nonnegative integers")
+    return monomial
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial.
 
@@ -96,14 +108,7 @@ class Polynomial:
             raise InputError("varcount must be nonnegative")
         clean = {}
         for monomial, coeff in terms.items():
-            monomial = tuple(monomial)
-            if len(monomial) != varcount:
-                raise InputError(
-                    "monomial %r has %d entries, expected %d"
-                    % (monomial, len(monomial), varcount)
-                )
-            if any(type(e) is not int or e < 0 for e in monomial):
-                raise InputError("exponents must be nonnegative integers")
+            monomial = _check_monomial(monomial, varcount)
             c = ring.coerce(coeff)
             if c:
                 clean[monomial] = c
@@ -274,13 +279,7 @@ def support(a):
 
 def coefficient_of(a, monomial):
     """Coefficient of the given exponent tuple (ring zero if absent)."""
-    monomial = tuple(monomial)
-    if len(monomial) != a.varcount:
-        raise InputError(
-            "monomial %r has %d entries, expected %d"
-            % (monomial, len(monomial), a.varcount)
-        )
-    return a.terms.get(monomial, a.ring.coerce(0))
+    return a.terms.get(_check_monomial(monomial, a.varcount), a.ring.coerce(0))
 
 
 def in_frobenius_power(a, e):

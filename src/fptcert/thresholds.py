@@ -13,11 +13,12 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .basep import (
     INFINITY,
+    CarryHorizon,
     _check_int,
     _lucas,
     carry_horizon,
@@ -112,6 +113,26 @@ def _unique_rho(generators, p=None):
     return mapping, matrix, cert
 
 
+def _jsonable(value):
+    """JSON form of a value: rationals as strings, tuples as lists,
+    carry horizons as an int or "inf"."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, CarryHorizon):
+        return value.to_json_value()
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _json_fields(result, **keys):
+    """A result dataclass's fields in declaration order through _jsonable, each
+    under its own name or the key given for it (a key of None leaves it out)."""
+    return {
+        key: _jsonable(getattr(result, field.name))
+        for field in fields(result)
+        if (key := keys.get(field.name, field.name)) is not None
+    }
+
+
 @dataclass(frozen=True)
 class FptCertificate:
     """Exact value or certified lower bound for the limiting ratio
@@ -135,15 +156,8 @@ class FptCertificate:
         return tuple(sum(block, Fraction(0)) for block in self.rho_blocks)
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "kind": self.kind,
-            "value": str(self.value),
-            "upper_bound": str(self.upper_bound),
-            "rho": [[str(x) for x in block] for block in self.rho_blocks],
-            "S": [h.to_json_value() for h in self.horizons],
-            "I": list(self.finite_indices),
-        }
+        return _json_fields(self, rho_blocks="rho", horizons="S", finite_indices="I",
+                            truncations=None)
 
 
 def _block_floors(p, rho_blocks, horizons, level):
@@ -457,22 +471,16 @@ class WitnessReport:
 
     p: int
     e: int
-    exponents: tuple  # Q_i = p**e |<rho_i>_e| per block
-    target: tuple  # exponent vector of the escaping monomial
+    match: bool
     expected: int
     actual: int
-    match: bool
+    exponents: tuple  # Q_i = p**e |<rho_i>_e| per block
+    target: tuple  # exponent vector of the escaping monomial
     per_block: tuple  # (Q_i, parts, multinomial mod p, coefficient power mod p)
 
     def to_json_dict(self):
         return {
-            "p": self.p,
-            "e": self.e,
-            "match": self.match,
-            "expected": self.expected,
-            "actual": self.actual,
-            "exponents": list(self.exponents),
-            "target": list(self.target),
+            **_json_fields(self, per_block=None),
             "blocks": [
                 {
                     "Q": q,
@@ -562,16 +570,7 @@ class LctVerdict:
         return replace(self, checked_primes=self.checked_primes + ((p, holds),))
 
     def to_json_dict(self):
-        return {
-            "case": self.case,
-            "value": None if self.value is None else str(self.value),
-            "t": self.t,
-            "rho": [[str(x) for x in block] for block in self.rho_blocks],
-            "block_sums": [str(s) for s in self.block_sums],
-            "prime_predicate": self.prime_predicate,
-            "checked_primes": [[p, ok] for p, ok in self.checked_primes],
-            "failed_hypothesis": self.failed_hypothesis,
-        }
+        return _json_fields(self, rho_blocks="rho")
 
 
 def lct_fpt_classifier(generators):
@@ -599,7 +598,8 @@ def lct_fpt_classifier(generators):
         "clearing denominators no generator coefficient is divisible by p)"
     )
     verdict = functools.partial(
-        LctVerdict, t=t, rho_blocks=rho_blocks, block_sums=sums, checked_primes=()
+        LctVerdict, t=t, rho_blocks=rho_blocks, block_sums=sums, checked_primes=(),
+        failed_hypothesis=None,
     )
     if all(s > 1 for s in sums):
         return verdict(
@@ -609,7 +609,6 @@ def lct_fpt_classifier(generators):
                 "the first base-p digits of every block sum to at least p, and "
                 + newton_clause
             ),
-            failed_hypothesis=None,
         )
     if all(s <= 1 for s in sums):
         return verdict(
@@ -619,7 +618,6 @@ def lct_fpt_classifier(generators):
                 "every block adds without carrying in base p, and "
                 + newton_clause
             ),
-            failed_hypothesis=None,
         )
     return verdict(
         case=CASE_INCONCLUSIVE,
@@ -643,11 +641,8 @@ def newton_polyhedron_preserved(generators, p):
         if g.is_zero():
             return False
         scale = math.lcm(*[c.denominator for c in g.terms.values()])
-        if scale % p == 0:
+        if scale % p == 0 or any(int(c * scale) % p == 0 for c in g.terms.values()):
             return False
-        for c in g.terms.values():
-            if int(c * scale) % p == 0:
-                return False
     return True
 
 
@@ -676,19 +671,7 @@ class PrimeCheck:
         return self.holds
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "case": self.case,
-            "target_value": str(self.target_value),
-            "newton_preserved": self.newton_preserved,
-            "predicate_member": self.predicate_member,
-            "certificate_kind": self.certificate_kind,
-            "certificate_value": (
-                None if self.certificate_value is None else str(self.certificate_value)
-            ),
-            "holds": self.holds,
-            "big_enough_caveat": self.big_enough_caveat,
-        }
+        return _json_fields(self)
 
 
 def verify_prime(generators, p, verdict, meter=None):
@@ -714,29 +697,23 @@ def verify_prime(generators, p, verdict, meter=None):
     generators = tuple(generators)
     meter = meter if meter is not None else Meter()
     preserved = newton_polyhedron_preserved(generators, p)
-    if verdict.case == CASE_DIAGONAL_ABOVE_T:
+    certificate = fpt_bound(generators, p, meter) if preserved else None
+    kind, value = (certificate.kind, certificate.value) if certificate else (None, None)
+    above_t = verdict.case == CASE_DIAGONAL_ABOVE_T
+    if above_t:
         predicate_member = in_P_rho_0(verdict.rho_blocks, p)
-        certificate = fpt_bound(generators, p, meter) if preserved else None
-        holds = certificate is not None and certificate.value == verdict.value
+    elif certificate is not None and certificate.rho_blocks == verdict.rho_blocks:
+        predicate_member = not certificate.finite_indices
     else:
-        certificate = fpt_bound(generators, p, meter) if preserved else None
-        if certificate is not None and certificate.rho_blocks == verdict.rho_blocks:
-            predicate_member = not certificate.finite_indices
-        else:
-            predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
-        holds = (
-            certificate is not None
-            and certificate.kind == KIND_EXACT
-            and certificate.value == verdict.value
-        )
+        predicate_member = in_P_rho_inf(verdict.rho_blocks, p, meter)
     return PrimeCheck(
         p=p,
         case=verdict.case,
         target_value=verdict.value,
         newton_preserved=preserved,
         predicate_member=predicate_member,
-        certificate_kind=None if certificate is None else certificate.kind,
-        certificate_value=None if certificate is None else certificate.value,
-        holds=holds,
+        certificate_kind=kind,
+        certificate_value=value,
+        holds=value == verdict.value and (above_t or kind == KIND_EXACT),
         big_enough_caveat=True,
     )

@@ -1,0 +1,194 @@
+"""One JSON form for every result: each ``to_json_dict`` and the budget
+echo render through ``thresholds._json_fields``, and write the same
+text, key order included, as the bodies that spelled every key out by
+hand (kept below as the reference)."""
+
+import json
+import random
+from dataclasses import asdict, replace
+from fractions import Fraction
+
+from fptcert.basep import INFINITY, CarryHorizon
+from fptcert.budgets import Budgets, Meter
+from fptcert.errors import FptcertError
+from fptcert.fvolume import fvolume_estimate, fvolume_lower_bound
+from fptcert.polyring import QQ, Polynomial
+from fptcert.thresholds import (
+    _json_fields,
+    _jsonable,
+    coefficient_witness,
+    fpt_bound,
+    lct_fpt_classifier,
+    verify_prime,
+)
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+SMALL = Budgets(max_multisets=20_000, max_terms=200_000)
+
+
+def _fpt_reference(cert):
+    return {
+        "p": cert.p,
+        "kind": cert.kind,
+        "value": str(cert.value),
+        "upper_bound": str(cert.upper_bound),
+        "rho": [[str(x) for x in block] for block in cert.rho_blocks],
+        "S": [h.to_json_value() for h in cert.horizons],
+        "I": list(cert.finite_indices),
+    }
+
+
+def _witness_reference(report):
+    return {
+        "p": report.p,
+        "e": report.e,
+        "match": report.match,
+        "expected": report.expected,
+        "actual": report.actual,
+        "exponents": list(report.exponents),
+        "target": list(report.target),
+        "blocks": [
+            {
+                "Q": q,
+                "parts": list(parts),
+                "multinomial_mod_p": multi,
+                "coefficient_power_mod_p": cpow,
+            }
+            for q, parts, multi, cpow in report.per_block
+        ],
+    }
+
+
+def _verdict_reference(verdict):
+    return {
+        "case": verdict.case,
+        "value": None if verdict.value is None else str(verdict.value),
+        "t": verdict.t,
+        "rho": [[str(x) for x in block] for block in verdict.rho_blocks],
+        "block_sums": [str(s) for s in verdict.block_sums],
+        "prime_predicate": verdict.prime_predicate,
+        "checked_primes": [[p, ok] for p, ok in verdict.checked_primes],
+        "failed_hypothesis": verdict.failed_hypothesis,
+    }
+
+
+def _check_reference(check):
+    return {
+        "p": check.p,
+        "case": check.case,
+        "target_value": str(check.target_value),
+        "newton_preserved": check.newton_preserved,
+        "predicate_member": check.predicate_member,
+        "certificate_kind": check.certificate_kind,
+        "certificate_value": (
+            None if check.certificate_value is None else str(check.certificate_value)
+        ),
+        "holds": check.holds,
+        "big_enough_caveat": check.big_enough_caveat,
+    }
+
+
+def _fvolume_reference(cert):
+    return {
+        "p": cert.p,
+        "bound": str(cert.bound),
+        "counts": [[e, card, str(ratio)] for e, card, ratio in cert.counts],
+    }
+
+
+def _same_text(result, reference):
+    # json.dumps, not ==: dict equality ignores key order
+    assert json.dumps(result.to_json_dict()) == json.dumps(reference(result)), result
+
+
+def _random_tuples(seed, count):
+    """Generators over QQ in 2-4 variables, 1-3 per tuple, each a
+    member of the maximal ideal with coefficients from {1, -1, 2, 3}."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, 4)
+        tuple_ = []
+        for _ in range(rng.randint(1, 3)):
+            terms, size = {}, rng.randint(1, 3)
+            while len(terms) < size:
+                monomial = tuple(rng.randint(0, 3) for _ in range(m))
+                if any(monomial):
+                    terms[monomial] = rng.choice((1, -1, 2, 3))
+            tuple_.append(Polynomial(QQ, m, terms))
+        yield tuple_
+
+
+def test_certificates_render_as_before():
+    seen = {"fpt": 0, "counts": 0}
+    for generators in _random_tuples(21, 120):
+        for p in PRIMES:
+            try:
+                cert = fpt_bound(generators, p, Meter(SMALL))
+                fvol = fvolume_lower_bound(generators, p, Meter(SMALL))
+            except FptcertError:
+                continue
+            _same_text(cert, _fpt_reference)
+            _same_text(fvol, _fvolume_reference)
+            seen["fpt"] += 1
+            if p <= 3 and len(generators) <= 2:
+                try:
+                    rows = fvolume_estimate([[g] for g in generators], p, 2, SMALL)
+                except FptcertError:
+                    continue
+                fvol = replace(fvol, counts=tuple(rows))
+                _same_text(fvol, _fvolume_reference)
+                seen["counts"] += 1
+    assert seen["fpt"] >= 300 and seen["counts"] >= 50, seen
+
+
+def test_verdicts_and_checks_render_as_before():
+    seen = {"verdict": 0, "check": 0}
+    for generators in _random_tuples(22, 120):
+        try:
+            verdict = lct_fpt_classifier(generators)
+        except FptcertError:
+            continue
+        _same_text(verdict, _verdict_reference)
+        seen["verdict"] += 1
+        if not verdict.conclusive:
+            continue
+        for p in PRIMES:
+            try:
+                check = verify_prime(generators, p, verdict, Meter(SMALL))
+            except FptcertError:
+                continue
+            _same_text(check, _check_reference)
+            verdict = verdict.with_checked(p, check.holds)
+            _same_text(verdict, _verdict_reference)
+            seen["check"] += 1
+    assert seen["verdict"] >= 60 and seen["check"] >= 300, seen
+
+
+def test_witness_reports_render_as_before():
+    seen = 0
+    for generators in _random_tuples(23, 40):
+        for p in (2, 3, 5, 7):
+            for e in (1, 2, 3):
+                try:
+                    report = coefficient_witness(generators, p, e, SMALL)
+                except FptcertError:
+                    continue
+                _same_text(report, _witness_reference)
+                seen += 1
+    assert seen >= 200, seen
+
+
+def test_budget_echo_renders_as_asdict():
+    for budgets in (Budgets(), Budgets(1, 2, 3)):
+        assert json.dumps(_json_fields(budgets)) == json.dumps(asdict(budgets))
+
+
+def test_jsonable_values():
+    assert _jsonable(((1, (Fraction(1, 3), 2)), [])) == [[1, ["1/3", 2]], []]
+    assert _jsonable(Fraction(-5, 6)) == "-5/6"
+    assert _jsonable(Fraction(4)) == "4"
+    assert _jsonable(CarryHorizon(INFINITY)) == "inf"
+    assert _jsonable((CarryHorizon(0), CarryHorizon(3))) == [0, 3]
+    assert _jsonable(None) is None
+    assert _jsonable(True) is True and _jsonable(False) is False
+    assert _jsonable(((5, True), (7, False))) == [[5, True], [7, False]]

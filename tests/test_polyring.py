@@ -251,6 +251,14 @@ def test_support_and_coefficient_of():
         coefficient_of(f, (1, 0))
 
 
+@pytest.mark.parametrize("monomial", [(True, False), (1.0, 0), (-1, 0)])
+def test_coefficient_of_checks_exponents(monomial):
+    # a bare dict lookup answers 1 for the first two and 0 for (-1, 0)
+    f = parse("x+2*y", ("x", "y"))
+    with pytest.raises(InputError, match="exponents must be nonnegative integers"):
+        coefficient_of(f, monomial)
+
+
 def test_total_degree():
     assert Polynomial.zero(QQ, 2).total_degree() == -1
     assert Polynomial.one(QQ, 2).total_degree() == 0
