@@ -63,7 +63,7 @@ def _check_int(value, name, low=1):
 
 
 def _as_fraction(alpha):
-    if isinstance(alpha, (Fraction, int)):
+    if isinstance(alpha, (Fraction, int)) and not isinstance(alpha, bool):
         return Fraction(alpha)
     raise InputError("expected an exact rational, got %r" % (alpha,))
 
@@ -149,16 +149,10 @@ def digits(alpha, p, meter=None):
 
 
 def digit_at(alpha, p, k):
-    """The k-th digit of the nonterminating expansion, via the closed
-    ceiling formula; digit_at(0, p, k) is 0."""
-    _check_base(p)
-    alpha = _as_fraction(alpha)
-    if not (0 <= alpha <= 1):
-        raise InputError("alpha must lie in [0, 1], got %s" % alpha)
+    """The k-th digit of the nonterminating expansion: p**k times the step
+    from <alpha>_(k-1) to <alpha>_k; digit_at(0, p, k) is 0."""
     _check_int(k, "digit position")
-    if alpha == 0:
-        return 0
-    return math.ceil(p**k * alpha) - 1 - p * (math.ceil(p ** (k - 1) * alpha) - 1)
+    return int(p**k * (truncation(alpha, p, k) - truncation(alpha, p, k - 1)))
 
 
 def truncation(alpha, p, e):

@@ -110,7 +110,9 @@ def _norm_fraction(value, flag, key=None):
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise InputError("%s is not a rational number: zero denominator" % flag)
+        except ValueError as exc:
             raise InputError("%s is not a rational number: %s" % (flag, exc))
     raise InputError("%s must be a rational number" % flag)
 
@@ -417,33 +419,24 @@ def _render_text(payload):
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _flat_encoder(depth):  # C encoding, items one per line at depth, brackets bare
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _dumps_fallback(value, depth=0):
-    """json.dumps(value, indent=2), byte for byte: lists of strs or plain ints
-    are joined from item texts, other scalar containers C-encoded; the rest recurse."""
-    if type(value) in _LEAVES:
-        return _LEAVES[type(value)](value)
+def _dumps_fallback(value, newline="\n"):
+    """json.dumps(value, indent=2), byte for byte: _LEAVES writes a scalar, and a
+    list of one scalar type is joined from its item texts; other non-empty
+    containers recurse; floats, empty containers and non-str keys are C-encoded."""
+    leaf = _LEAVES.get(type(value))
+    if leaf:
+        return leaf(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return _flat_encoder(0)(value)
-    is_dict, pad = isinstance(value, dict), "\n" + "  " * (depth + 1)
-    items = value.values() if is_dict else value
-    types = set(map(type, items))
-    if types == {str} and not is_dict:  # short in payloads: a join beats encoder set-up
-        body = ("," + pad).join(map(encode_basestring_ascii, value))
-    elif types == {int} and not is_dict:  # digit lists: cached texts beat one int per line
-        body = ("," + pad).join(map(_INT_TEXT.__getitem__, value))
-    elif not any(issubclass(t, (dict, list, tuple)) for t in types):
-        body = _flat_encoder(depth + 1)(value)[1:-1]
-    else:  # keys as json.dumps writes them: a str escaped here, others by the C encoder
-        heads = ("" if not is_dict else encode_basestring_ascii(k) + ": " if type(k) is str
-                 else _flat_encoder(0)({k: 0})[1:-2] for k in value)
-        body = ("," + pad).join(h + _dumps_fallback(v, depth + 1)
-                                for h, v in zip(heads, items))
-    return ("{%s}" if is_dict else "[%s]") % (pad + body + "\n" + "  " * depth)
+        return _encode(value)
+    pad = newline + "  "
+    if isinstance(value, dict):
+        items = ((encode_basestring_ascii(k) if type(k) is str else _encode({k: 0})[1:-4])
+                 + ": " + _dumps_fallback(v, pad) for k, v in value.items())
+        return "{%s%s%s}" % (pad, ("," + pad).join(items), newline)
+    types = set(map(type, value))
+    leaf = len(types) == 1 and _LEAVES.get(types.pop())
+    items = map(leaf, value) if leaf else (_dumps_fallback(v, pad) for v in value)
+    return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
 
 
 class _IntTexts(dict):
@@ -457,7 +450,10 @@ class _IntTexts(dict):
 
 
 _INT_TEXT = _IntTexts()
-_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+# json.dumps's text per scalar type, by exact type: a bool never reads _INT_TEXT
+_LEAVES = {str: encode_basestring_ascii, int: _INT_TEXT.__getitem__,
+           bool: {False: "false", True: "true"}.get, type(None): {None: "null"}.get}
+_encode = json.JSONEncoder().encode
 # json.dumps indents in C since 3.13: drop the fallback at requires-python >= 3.13
 _dumps = (_dumps_fallback if sys.version_info < (3, 13)
           else functools.partial(json.dumps, indent=2))

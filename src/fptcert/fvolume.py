@@ -103,14 +103,10 @@ def term_ideal_volume_bound(generators, budgets=None):
 
     Returns (bound, witness point).
     """
-    generators = tuple(generators)
-    mapping = reduce_generators(generators)
-    matrix = exponent_matrix(mapping)
-    best = None
-    witness = None
-    for point in vertices(matrix, budgets):
-        value = math.prod(sum(block) for block in matrix.split(point))
-        if best is None or value > best:
-            best = value
-            witness = point
-    return best, witness
+    matrix = exponent_matrix(reduce_generators(generators))
+
+    def value(point):
+        return math.prod(sum(block) for block in matrix.split(point))
+
+    witness = max(vertices(matrix, budgets), key=value)  # the first best vertex
+    return value(witness), witness

@@ -26,7 +26,7 @@ class Rationals:
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         raise InputError("rational coefficient expected, got %r" % (value,))
 
@@ -59,7 +59,7 @@ class IntegersMod:
                     "denominator of %s is divisible by %d" % (value, self.p)
                 )
             return num * pow(den, -1, self.p) % self.p
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise InputError("mod-%d coefficient expected, got %r" % (self.p, value))
 

@@ -98,6 +98,18 @@ def test_digit_at_zero_and_bounds():
         digits(Fraction(0), 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: digits(True, 2),
+    lambda: truncation(True, 3, 2),
+    lambda: carry_horizon([True, False], 2),
+    lambda: digit_at(True, 2, 1),
+])
+def test_bool_is_not_a_rational(call):
+    # True used to read as 1: the expansion of 1, the truncation 8/9, horizon inf
+    with pytest.raises(InputError, match="expected an exact rational, got True"):
+        call()
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, True, "1", None])
 def test_digit_positions_must_be_ints(k):
     # a float position used to give digit 0 from digit_at and a raw
@@ -139,6 +151,11 @@ def test_truncation_identities():
         assert truncation(alpha, 7, e) == total
     with pytest.raises(InputError):
         truncation(alpha, 7, -1)
+
+
+def test_truncation_rejects_alpha_above_one():
+    with pytest.raises(InputError, match=r"alpha must lie in \[0, 1\], got 3/2"):
+        truncation(Fraction(3, 2), 2, 1)
 
 
 def test_truncation_monotone_with_small_remainder():

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import fptcert
+from fptcert.budgets import Budgets
 from fptcert.cli import main
+from fptcert.errors import BudgetExceeded
 from test_parse_differential import random_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -415,6 +417,11 @@ def test_env_budgets(capsys, monkeypatch):
     assert code == 4
 
 
+def test_env_budget_must_be_positive():
+    with pytest.raises(BudgetExceeded, match="must be positive"):
+        Budgets.from_env({"FPTCERT_MAX_TERMS": "0"})
+
+
 def test_certificate_budgets(tmp_path, capsys, monkeypatch):
     """fpt-bound, fvol-bound and verify-prime charge their first-carry
     searches to the resolved budgets: x^2+y^3 at p=5 has rho = (1/2,
@@ -558,6 +565,13 @@ INPUT_ERRORS = [
      "ideal list has an empty entry"),
     (["carry"], {"block": [], "p": 2}, "--block is empty"),
     (["digits"], {"alpha": True, "p": 2}, "--alpha must be a rational number"),
+    (["digits"], {"alpha": 0.5, "p": 2}, "--alpha must be a rational number"),
+    (["carry"], {"block": 5, "p": 2}, "--block must be a comma-separated string or a list"),
+    # a zero denominator used to leak the repr Fraction(1, 0)
+    (["digits", "--alpha", "1/0", "--p", "2"], None,
+     "--alpha is not a rational number: zero denominator"),
+    (["carry", "--block", "1/2,1/0", "--p", "2"], None,
+     "--block is not a rational number: zero denominator"),
 ]
 
 

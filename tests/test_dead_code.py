@@ -1,5 +1,6 @@
 """The package carries no dead names: every import is used, and every
-private top-level function or class is referenced somewhere in it."""
+private top-level function, class or assigned name is referenced
+somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,22 @@ def test_every_private_definition_is_referenced():
             if not any(node.name in names for top, names in reads if top is not node):
                 unreferenced.append("%s:%d defines %s" % (name, node.lineno, node.name))
     assert unreferenced == []
+
+
+def test_every_private_assignment_is_read():
+    trees = _trees()
+    reads = [(top, set(_references(top))) for tree in trees.values() for top in tree.body]
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.Assign):
+                continue
+            # every name the statement binds, tuple targets included
+            bound = [sub.id for target in node.targets for sub in ast.walk(target)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+            for var in bound:
+                if not var.startswith("_") or var.startswith("__"):
+                    continue
+                if not any(var in names for top, names in reads if top is not node):
+                    unread.append("%s:%d assigns %s" % (name, node.lineno, var))
+    assert unread == []

@@ -108,6 +108,11 @@ def test_reduce_generators_rejects_bad_input():
         )
 
 
+def test_reduce_generators_rejects_a_non_polynomial():
+    with pytest.raises(InputError, match="generator 1 is not a polynomial"):
+        reduce_generators([pair()[0], "y*z^3"])
+
+
 def test_exponent_matrix_rejects_zero_column():
     from fptcert.geometry import ReducedMapping
 
@@ -257,6 +262,12 @@ def test_diagonal_face_columns():
         assert diagonal_face_columns(
             ExponentMatrix(varcount=2, columns=((2, 1),), block_sizes=(1,))
         )
+
+
+def test_diagonal_face_columns_rejects_repeated_columns():
+    matrix = ExponentMatrix(varcount=2, columns=((1, 1), (1, 1)), block_sizes=(2,))
+    with pytest.raises(InputError, match="exponent matrix columns must be distinct"):
+        diagonal_face_columns(matrix)
 
 
 def test_diagonal_face_columns_drops_slack_directions():

@@ -140,6 +140,13 @@ def test_format_default_variable_names():
     assert format_polynomial(f) == "x1 + 3*x2^2"
 
 
+def test_repr_and_name_count():
+    f = parse_polynomial("x^2+y^3", ("x", "y"))
+    assert repr(f) == "Polynomial(QQ, x1^2 + x2^3)"
+    with pytest.raises(InputError, match="1 variable names supplied for 2 variables"):
+        format_polynomial(f, ["x"])
+
+
 def test_grlex_key_orders_by_degree_then_descending_lex():
     monomials = [(0, 2), (2, 0), (1, 1), (0, 0), (1, 0)]
     assert sorted(monomials, key=grlex_key) == [
@@ -219,6 +226,20 @@ def test_integers_mod_coercion():
         IntegersMod(1)
 
 
+def test_coercion_rejects_non_numbers_and_bools():
+    with pytest.raises(InputError, match="mod-5 coefficient expected, got '1'"):
+        IntegersMod(5).coerce("1")
+    # a bool used to read as the coefficient 1 (or 0)
+    with pytest.raises(InputError, match="mod-5 coefficient expected, got True"):
+        IntegersMod(5).coerce(True)
+    with pytest.raises(InputError, match="rational coefficient expected, got True"):
+        QQ.coerce(True)
+    with pytest.raises(InputError, match="rational coefficient expected, got True"):
+        Polynomial(QQ, 1, {(1,): True})
+    with pytest.raises(InputError, match="mod-5 coefficient expected, got False"):
+        Polynomial(IntegersMod(5), 1, {(1,): False})
+
+
 def test_reduce_mod_p_drops_vanishing_terms():
     f = parse("4*x+6*y+3*z")
     assert reduce_mod_p(f, 2).terms == {(0, 0, 1): 1}
@@ -240,6 +261,11 @@ def test_ring_mismatch_on_mixed_arithmetic():
     h = parse_polynomial("a", ["a"])
     with pytest.raises(RingMismatch):
         f * h
+
+
+def test_product_with_a_non_polynomial():
+    with pytest.raises(RingMismatch, match="expected a polynomial, got 3"):
+        parse("x") * 3
 
 
 def test_support_and_coefficient_of():
@@ -289,6 +315,11 @@ def test_polynomial_validation():
         Polynomial(QQ, 2, {(0, 0): 0.5})
     # zero coefficients are dropped on construction
     assert Polynomial(QQ, 2, {(1, 0): Fraction(0)}).is_zero()
+
+
+def test_polynomial_varcount_must_be_nonnegative():
+    with pytest.raises(InputError, match="varcount must be nonnegative"):
+        Polynomial(QQ, -1, {})
 
 
 @pytest.mark.parametrize("monomial", [(True,), (False,), (1.0,), (Fraction(1),)])

@@ -51,6 +51,8 @@ VALUES = [
     [True, False],
     [[1, 0], [True, False]],  # True == 1: bools must not read the texts cached for ints
     [0, 1, 2] * 111111 + [1],
+    [None, None],  # one non-int scalar type, joined
+    [[], []],  # empty lists inside a recursion
 ]
 
 

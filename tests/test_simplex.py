@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fptcert.errors import FptcertError
 from fptcert.simplex import LpInfeasible, LpUnbounded, _optimal_dictionary, solve_lp
 
 
@@ -75,6 +76,11 @@ def test_degenerate_vertex():
         [F(1), F(1), F(1)],
     )
     assert value == 1
+
+
+def test_constraint_shape_must_match():
+    with pytest.raises(FptcertError, match="constraint rows do not match"):
+        solve_lp([1, 1], [[1]], [1])
 
 
 def test_zero_objective_feasibility_probe():

@@ -141,6 +141,25 @@ def test_fpt_bound_input_validation():
         fpt_bound([two_x], 2)
 
 
+def test_fpt_bound_prime_must_fit_in_31_bits():
+    with pytest.raises(InputError, match="p must fit in 31 bits"):
+        fpt_bound(pair(), 2_147_483_659)  # a prime
+
+
+class _Integers:
+    """A coefficient ring that is neither QQ nor GF(p)."""
+
+    def coerce(self, value):
+        return value
+
+
+def test_reduction_mod_p_checks_each_generator():
+    with pytest.raises(InputError, match="generator 1 is not a polynomial"):
+        fpt_bound([pair()[0], "y*z^3"], 2)
+    with pytest.raises(RingMismatch, match="unsupported coefficient ring"):
+        fpt_bound([Polynomial(_Integers(), 1, {(1,): 1})], 2)
+
+
 def test_fpt_bound_non_unique_maximal_point():
     with pytest.raises(NonUniqueMaximalPoint) as info:
         fpt_bound(gens("x+x*y^2", "y*z^2"), 2)
@@ -445,6 +464,10 @@ def test_newton_polyhedron_preserved():
     assert newton_polyhedron_preserved(sixth, 7)
     with pytest.raises(RingMismatch):
         newton_polyhedron_preserved(fp_pair(2), 2)
+
+
+def test_newton_polyhedron_not_preserved_for_a_zero_generator():
+    assert not newton_polyhedron_preserved([pair()[0], Polynomial(QQ, 3, {})], 5)
 
 
 def test_verify_prime_above_t():
