@@ -300,9 +300,12 @@ def multinomial_nonzero_mod_p(total, parts, p):
     exactly when adding the parts in base p produces no carry
     (``_lucas``).  No factorials are computed."""
     _check_base(p)
-    parts = [int(x) for x in parts]
-    if any(x < 0 for x in parts) or total != sum(parts):
-        raise InputError("parts must be nonnegative and sum to total")
+    _check_int(total, "total", 0)
+    parts = list(parts)
+    for x in parts:
+        _check_int(x, "part", 0)
+    if total != sum(parts):
+        raise InputError("parts must sum to total")
     return _lucas(parts, p) is not None
 
 

@@ -401,9 +401,6 @@ def _render_text(payload):
 
     def walk(prefix, value):
         if isinstance(value, dict):
-            if not value:
-                lines.append("%s: {}" % prefix)
-                return
             for key, item in value.items():
                 walk("%s.%s" % (prefix, key) if prefix else key, item)
         elif isinstance(value, list):

@@ -68,8 +68,8 @@ def fvolume_points(ideals, e, budgets=None):
 
 
 def fvolume_count(ideals, e, budgets=None):
-    """Card V(p^e); see fvolume_points."""
-    return len(fvolume_points(ideals, e, budgets))
+    """Card V(p^e), the size of the set fvolume_points sorts."""
+    return len(_escape_set(ideals, e, budgets))
 
 
 def volume_witness_floor(certificate, scan_level):

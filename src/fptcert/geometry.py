@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budgets import Budgets, Meter
+from .budgets import Meter
 from .errors import (
     DimensionTooLarge,
     EmptyBlock,
@@ -26,21 +26,6 @@ from .errors import (
 )
 from .polyring import Polynomial, grlex_key
 from .simplex import _optimal_dictionary, solve_lp
-
-__all__ = [
-    "ReducedMapping",
-    "ExponentMatrix",
-    "MaximalPointCert",
-    "reduce_generators",
-    "exponent_matrix",
-    "lp_maximize",
-    "maximal_point",
-    "vertices",
-    "newton_min_diagonal",
-    "diagonal_position",
-    "diagonal_face_columns",
-]
-
 
 @dataclass(frozen=True)
 class ReducedMapping:
@@ -166,8 +151,7 @@ def lp_maximize(objective, matrix):
     ``matrix``.  Returns (value, gamma) at a vertex."""
     if len(objective) != matrix.width:
         raise InputError("objective length does not match the matrix width")
-    rows = [list(r) for r in matrix.rows]
-    value, gamma = solve_lp(list(objective), rows, [Fraction(1)] * matrix.varcount)
+    value, gamma = solve_lp(objective, matrix.rows, [1] * matrix.varcount)
     return value, tuple(gamma)
 
 
@@ -275,13 +259,10 @@ def vertices(matrix, budgets=None):
     on N comes from the dimension budget; each feasible basis visited is
     charged against the multiset budget.
     """
-    budgets = budgets if budgets is not None else Budgets.from_env()
-    N = matrix.width
-    if N > budgets.max_dimension:
-        raise DimensionTooLarge(
-            "polytope dimension %d exceeds the cap %d" % (N, budgets.max_dimension)
-        )
     meter = Meter(budgets)
+    N, cap = matrix.width, meter.budgets.max_dimension
+    if N > cap:
+        raise DimensionTooLarge("polytope dimension %d exceeds the cap %d" % (N, cap))
     start = _optimal_dictionary([0] * N, matrix.rows, [1] * matrix.varcount)
     seen = {frozenset(start.basic)}
     queue = collections.deque([start])

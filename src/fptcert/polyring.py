@@ -7,6 +7,7 @@ and the integers mod a prime p (int coefficients in [1, p-1]).
 
 import operator
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .basep import _check_int
@@ -18,10 +19,9 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class Rationals:
     """Coefficient ring tag for exact rational arithmetic."""
-
-    __slots__ = ()
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -30,26 +30,20 @@ class Rationals:
             return Fraction(value)
         raise InputError("rational coefficient expected, got %r" % (value,))
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Rationals")
-
     def __repr__(self):
         return "QQ"
 
 
+@dataclass(frozen=True, slots=True)
 class IntegersMod:
     """Coefficient ring tag for Z/pZ.  ``p`` must be prime for the
     rational coercion (modular inverses) to be meaningful."""
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p):
-        if not isinstance(p, int) or p < 2:
-            raise InputError("modulus must be an integer >= 2, got %r" % (p,))
-        self.p = p
+    def __post_init__(self):
+        if not isinstance(self.p, int) or self.p < 2:
+            raise InputError("modulus must be an integer >= 2, got %r" % (self.p,))
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -62,12 +56,6 @@ class IntegersMod:
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise InputError("mod-%d coefficient expected, got %r" % (self.p, value))
-
-    def __eq__(self, other):
-        return isinstance(other, IntegersMod) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("IntegersMod", self.p))
 
     def __repr__(self):
         return "GF(%d)" % self.p
@@ -104,8 +92,8 @@ class Polynomial:
     __slots__ = ("ring", "varcount", "terms")
 
     def __init__(self, ring, varcount, terms):
-        if varcount < 0:
-            raise InputError("varcount must be nonnegative")
+        if type(varcount) is not int or varcount < 0:
+            raise InputError("varcount must be nonnegative and an int, got %r" % (varcount,))
         clean = {}
         for monomial, coeff in terms.items():
             monomial = _check_monomial(monomial, varcount)

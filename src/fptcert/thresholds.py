@@ -635,7 +635,12 @@ def newton_polyhedron_preserved(generators, p):
     polyhedron: after scaling each generator by the lcm of its
     coefficient denominators, no coefficient is divisible by p."""
     _check_prime(p)
-    for g in generators:
+    generators = tuple(generators)
+    if not generators:
+        raise InputError("at least one generator is required")
+    for i, g in enumerate(generators):
+        if not isinstance(g, Polynomial):
+            raise InputError("generator %d is not a polynomial" % i)
         if g.ring != QQ:
             raise RingMismatch("the check applies to rational generators")
         if g.is_zero():

@@ -353,6 +353,16 @@ def test_multinomial_nonzero_frozen():
         multinomial_nonzero_mod_p(0, [-1, 1], 5)
 
 
+@pytest.mark.parametrize("total,parts,p", [
+    (1, [1.5, 0.5], 2),  # truncated to (1; 1, 0)
+    (2, ["1", "1"], 3),  # parsed as (2; 1, 1)
+    (True, [True], 2),  # read as (1; 1)
+])
+def test_multinomial_rejects_non_int_entries(total, parts, p):
+    with pytest.raises(InputError, match="must be a nonnegative integer"):
+        multinomial_nonzero_mod_p(total, parts, p)
+
+
 def _exact_multinomial(parts):
     value = 1
     running = 0

@@ -572,6 +572,10 @@ INPUT_ERRORS = [
      "--alpha is not a rational number: zero denominator"),
     (["carry", "--block", "1/2,1/0", "--p", "2"], None,
      "--block is not a rational number: zero denominator"),
+    (["digits", "--alpha", "abc", "--p", "2"], None,
+     "--alpha is not a rational number: Invalid literal for Fraction: 'abc'"),
+    (["carry", "--block", "1/2,x", "--p", "2"], None,
+     "--block is not a rational number: Invalid literal for Fraction: 'x'"),
 ]
 
 

@@ -75,3 +75,14 @@ def test_every_private_assignment_is_read():
                 if not any(var in names for top, names in reads if top is not node):
                     unread.append("%s:%d assigns %s" % (name, node.lineno, var))
     assert unread == []
+
+
+def test_only_the_package_init_has_an_export_list():
+    # the package's __init__ lists every public name once
+    exporting = [
+        "%s:%d assigns __all__" % (name, sub.lineno)
+        for name, tree in _trees().items() if name != "__init__.py"
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and sub.id == "__all__" and isinstance(sub.ctx, ast.Store)
+    ]
+    assert exporting == []

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, the text grammar, and Frobenius membership."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -226,6 +228,19 @@ def test_integers_mod_coercion():
         IntegersMod(1)
 
 
+def test_ring_tags_are_frozen_values():
+    assert IntegersMod(5) == IntegersMod(5)
+    assert hash(IntegersMod(5)) == hash(IntegersMod(5))
+    assert IntegersMod(5) != IntegersMod(7)
+    assert QQ != IntegersMod(5)
+    assert len({IntegersMod(5), IntegersMod(5), IntegersMod(7), QQ}) == 3
+    for tag in (QQ, IntegersMod(5)):
+        assert pickle.loads(pickle.dumps(tag)) == copy.deepcopy(tag) == tag
+    # assigning p used to move every polynomial over the tag to GF(7)
+    with pytest.raises(AttributeError):
+        IntegersMod(5).p = 7
+
+
 def test_coercion_rejects_non_numbers_and_bools():
     with pytest.raises(InputError, match="mod-5 coefficient expected, got '1'"):
         IntegersMod(5).coerce("1")
@@ -320,6 +335,13 @@ def test_polynomial_validation():
 def test_polynomial_varcount_must_be_nonnegative():
     with pytest.raises(InputError, match="varcount must be nonnegative"):
         Polynomial(QQ, -1, {})
+
+
+@pytest.mark.parametrize("varcount", [2.0, True])
+def test_polynomial_varcount_must_be_an_int(varcount):
+    # 2.0 used to be accepted, and True kept as the variable count
+    with pytest.raises(InputError, match="varcount must be nonnegative and an int"):
+        Polynomial(QQ, varcount, {(1,) * int(varcount): 1})
 
 
 @pytest.mark.parametrize("monomial", [(True,), (False,), (1.0,), (Fraction(1),)])

@@ -470,6 +470,18 @@ def test_newton_polyhedron_not_preserved_for_a_zero_generator():
     assert not newton_polyhedron_preserved([pair()[0], Polynomial(QQ, 3, {})], 5)
 
 
+def test_newton_polyhedron_preserved_needs_a_generator():
+    # no generators at all used to answer True
+    with pytest.raises(InputError, match="at least one generator is required"):
+        newton_polyhedron_preserved([], 5)
+
+
+def test_newton_polyhedron_preserved_needs_polynomials():
+    # a string used to raise a raw AttributeError
+    with pytest.raises(InputError, match="generator 0 is not a polynomial"):
+        newton_polyhedron_preserved(["x"], 5)
+
+
 def test_verify_prime_above_t():
     verdict = lct_fpt_classifier(two_fermat_blocks(2, 3, 4))
     for p in (5, 7, 11):
