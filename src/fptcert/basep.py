@@ -50,6 +50,13 @@ def is_prime(n):
     return True
 
 
+def _check_prime(p):
+    if not is_prime(p):
+        raise InputError("p must be a prime number, got %r" % (p,))
+    if p > 2**31 - 1:
+        raise InputError("p must fit in 31 bits")
+
+
 def _check_base(p):
     if not isinstance(p, int) or p < 2:
         raise InputError("base must be an integer >= 2, got %r" % (p,))

@@ -12,13 +12,9 @@ environment variables:
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BudgetExceeded
-
-ENV_MAX_MULTISETS = "FPTCERT_MAX_MULTISETS"
-ENV_MAX_TERMS = "FPTCERT_MAX_TERMS"
-ENV_MAX_DIMENSION = "FPTCERT_MAX_DIMENSION"
 
 
 @dataclass(frozen=True)
@@ -29,13 +25,14 @@ class Budgets:
 
     @classmethod
     def from_env(cls, environ=None):
-        """Defaults overridden by the FPTCERT_MAX_* environment variables."""
+        """Defaults overridden by the FPTCERT_<FIELD> environment variables."""
         environ = os.environ if environ is None else environ
-
-        def pick(name, fallback):
+        values = {}
+        for field in fields(cls):
+            name = "FPTCERT_" + field.name.upper()
             raw = environ.get(name)
             if raw is None or raw == "":
-                return fallback
+                continue
             try:
                 value = int(raw)
             except ValueError:
@@ -44,13 +41,8 @@ class Budgets:
                 )
             if value <= 0:
                 raise BudgetExceeded("environment variable %s must be positive" % name)
-            return value
-
-        return cls(
-            max_multisets=pick(ENV_MAX_MULTISETS, cls.max_multisets),
-            max_terms=pick(ENV_MAX_TERMS, cls.max_terms),
-            max_dimension=pick(ENV_MAX_DIMENSION, cls.max_dimension),
-        )
+            values[field.name] = value
+        return cls(**values)
 
 
 class Meter:

@@ -26,7 +26,7 @@ from . import __version__
 from .basep import carry_horizon, digits
 from .budgets import Budgets, Meter
 from .errors import BudgetExceeded, FptcertError, InputError
-from .fvolume import fvolume_count, fvolume_estimate, fvolume_lower_bound
+from .fvolume import fvolume_estimate, fvolume_lower_bound
 from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
 from .polyring import parse_polynomial
 from .thresholds import (
@@ -37,7 +37,6 @@ from .thresholds import (
     fpt_bound,
     fpt_estimate,
     lct_fpt_classifier,
-    nu,
     verify_prime,
 )
 
@@ -299,12 +298,12 @@ def _cmd_fpt_bound(inp):
 
 @_command("nu", "brute-force Frobenius escape level", "vars", "gens", "p", "e")
 def _cmd_nu(inp):
-    value = nu(_to_fp_generators(inp.generators, inp.p), inp.e, inp.budgets)
+    _, value, ratio = fpt_estimate(inp.generators, inp.p, inp.e, inp.budgets)[-1]
     return {
         "p": inp.p,
         "e": inp.e,
         "nu": value,
-        "ratio": str(Fraction(value, inp.p**inp.e)),
+        "ratio": str(ratio),
     }
 
 
@@ -346,8 +345,7 @@ def _cmd_fvol_bound(inp):
 @_command("fvol-count", "brute-force escape-set cardinality",
           "vars", "ideals", "p", "e")
 def _cmd_fvol_count(inp):
-    fp_ideals = [_to_fp_generators(group, inp.p) for group in inp.ideals]
-    count = fvolume_count(fp_ideals, inp.e, inp.budgets)
+    _, count, _ = fvolume_estimate(inp.ideals, inp.p, inp.e, inp.budgets)[-1]
     return {"p": inp.p, "e": inp.e, "count": count}
 
 

@@ -79,17 +79,24 @@ def _split_blocks(vector, block_sizes):
     return tuple(tuple(vector[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _check_generators(generators):
-    """Validate a generator sequence and return it as a tuple: it must
-    be non-empty, and its members nonzero polynomials without constant
-    term over one common ring and variable count."""
+def _polynomials(generators):
+    """A generator sequence as a non-empty tuple of polynomials."""
     generators = tuple(generators)
     if not generators:
         raise InputError("at least one generator is required")
-    first = generators[0]
     for i, g in enumerate(generators):
         if not isinstance(g, Polynomial):
             raise InputError("generator %d is not a polynomial" % i)
+    return generators
+
+
+def _check_generators(generators):
+    """Validate a generator sequence and return it as a tuple: it must
+    be non-empty (``_polynomials``), and its members nonzero polynomials
+    without constant term over one common ring and variable count."""
+    generators = _polynomials(generators)
+    first = generators[0]
+    for i, g in enumerate(generators):
         if g.ring != first.ring or g.varcount != first.varcount:
             raise RingMismatch("generator %d lives in a different ring" % i)
         if g.is_zero():

@@ -7,10 +7,11 @@ and the integers mod a prime p (int coefficients in [1, p-1]).
 
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basep import _check_int
+from .basep import _check_int, _check_prime
 from .errors import (
     DenominatorDivisibleByP,
     InputError,
@@ -36,14 +37,13 @@ class Rationals:
 
 @dataclass(frozen=True, slots=True)
 class IntegersMod:
-    """Coefficient ring tag for Z/pZ.  ``p`` must be prime for the
-    rational coercion (modular inverses) to be meaningful."""
+    """Coefficient ring tag for GF(p), p a prime below 2**31
+    (``basep._check_prime``), so every denominator prime to p inverts."""
 
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise InputError("modulus must be an integer >= 2, got %r" % (self.p,))
+        _check_prime(self.p)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -94,6 +94,8 @@ class Polynomial:
     def __init__(self, ring, varcount, terms):
         if type(varcount) is not int or varcount < 0:
             raise InputError("varcount must be nonnegative and an int, got %r" % (varcount,))
+        if not isinstance(terms, Mapping):
+            raise InputError("terms must map monomials to coefficients, got %r" % (terms,))
         clean = {}
         for monomial, coeff in terms.items():
             monomial = _check_monomial(monomial, varcount)

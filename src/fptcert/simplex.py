@@ -11,7 +11,7 @@ feasible solution).
 import math
 from fractions import Fraction
 
-from .errors import FptcertError
+from .errors import FptcertError, InputError
 
 
 class LpInfeasible(FptcertError):
@@ -151,7 +151,10 @@ def solve_lp(objective, lhs, rhs):
 
 
 def _rational(v):
-    return v if isinstance(v, int) else Fraction(v)
+    """An LP entry, which must be an int (not a bool) or a Fraction."""
+    if type(v) is int or isinstance(v, Fraction):
+        return v
+    raise InputError("LP entries must be ints or Fractions, got %r" % (v,))
 
 
 def _optimal_dictionary(objective, lhs, rhs):

@@ -20,11 +20,11 @@ from .basep import (
     INFINITY,
     CarryHorizon,
     _check_int,
+    _check_prime,
     _lucas,
     carry_horizon,
     in_P_rho_0,
     in_P_rho_inf,
-    is_prime,
     truncation,
 )
 from .budgets import Meter
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .geometry import (
     _check_generators,
+    _polynomials,
     _solved,
     exponent_matrix,
     newton_min_diagonal,
@@ -58,24 +59,12 @@ CASE_DIAGONAL_AT_MOST_T = "diagonal_at_most_t"
 CASE_INCONCLUSIVE = "inconclusive"
 
 
-def _check_prime(p):
-    if not is_prime(p):
-        raise InputError("p must be a prime number, got %r" % (p,))
-    if p > 2**31 - 1:
-        raise InputError("p must fit in 31 bits")
-
-
 def _to_fp_generators(generators, p):
     """Reduce rational generators mod p, or validate that generators
     already over GF(p) match the requested prime."""
     _check_prime(p)
-    generators = tuple(generators)
-    if not generators:
-        raise InputError("at least one generator is required")
     out = []
-    for i, g in enumerate(generators):
-        if not isinstance(g, Polynomial):
-            raise InputError("generator %d is not a polynomial" % i)
+    for i, g in enumerate(_polynomials(generators)):
         if g.ring == QQ:
             reduced = reduce_mod_p(g, p)
             if reduced.is_zero():
@@ -277,7 +266,6 @@ def _escape_sets(ideals, e, budgets=None):
     ring = generators[0].ring
     if not isinstance(ring, IntegersMod):
         raise RingMismatch("the Frobenius oracles need generators over GF(p)")
-    _check_prime(ring.p)
     _check_int(e, "e")
 
     # slots list each ideal's generators last to first, so that the walk
@@ -635,12 +623,7 @@ def newton_polyhedron_preserved(generators, p):
     polyhedron: after scaling each generator by the lcm of its
     coefficient denominators, no coefficient is divisible by p."""
     _check_prime(p)
-    generators = tuple(generators)
-    if not generators:
-        raise InputError("at least one generator is required")
-    for i, g in enumerate(generators):
-        if not isinstance(g, Polynomial):
-            raise InputError("generator %d is not a polynomial" % i)
+    for g in _polynomials(generators):
         if g.ring != QQ:
             raise RingMismatch("the check applies to rational generators")
         if g.is_zero():

@@ -10,8 +10,12 @@ product.  So a fixed input spends a fixed total: a cap equal to that
 total lets the call finish and a cap one below it stops the call.
 """
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from fptcert import cli
 from fptcert.budgets import Budgets
 from fptcert.errors import BudgetExceeded
 from fptcert.fvolume import fvolume_count
@@ -63,3 +67,20 @@ def test_budget_edge(name, field, cap, total):
 def test_coefficient_witness_charges_no_multisets():
     call, expected = CALLS["coefficient_witness"]
     assert call(Budgets(max_multisets=0)) == expected
+
+
+@pytest.mark.parametrize("field", [field.name for field in fields(Budgets)])
+def test_each_budget_is_named_by_its_field(field):
+    """A budget field max_x is read from FPTCERT_MAX_X, taken by every
+    subcommand as --max-x, and named both ways in README's table."""
+    variable, flag = "FPTCERT_" + field.upper(), "--" + field.replace("_", "-")
+    budgets = Budgets.from_env({variable: "7"})
+    assert budgets == Budgets(**{field: 7})
+    parser = cli._build_parser()
+    for command in cli._COMMANDS:
+        assert getattr(parser.parse_args([command, flag, "7"]), field) == 7
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert any(
+        line.startswith("|") and "`%s`" % flag in line and "`%s`" % variable in line
+        for line in readme.splitlines()
+    )

@@ -450,6 +450,32 @@ def test_certificate_budgets(tmp_path, capsys, monkeypatch):
     assert payload["result"]["S"] == [1]
 
 
+ORACLE_EDGES = [
+    (["nu", *PAIR, "--e", "2"], "max_multisets", 9),
+    (["nu", *PAIR, "--e", "2"], "max_terms", 2),
+    (["fvol-count", *IDEALS, "--e", "2"], "max_multisets", 23),
+    (["fvol-count", *IDEALS, "--e", "2"], "max_terms", 19),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,field,total",
+    ORACLE_EDGES,
+    ids=["%s-%s-%d" % (argv[0], field, total) for argv, field, total in ORACLE_EDGES],
+)
+def test_oracle_command_budgets(capsys, argv, field, total):
+    """nu and fvol-count spend exactly the totals of the library calls
+    (tests/test_budgets.py EDGES): a cap at the total finishes and a cap
+    one below it exits 4."""
+    flag = "--" + field.replace("_", "-")
+    code, payload, _ = run_json(capsys, *argv, "--p", "2", flag, str(total))
+    assert code == 0
+    assert payload["input"]["budgets"][field] == total
+    code, payload, _ = run_json(capsys, *argv, "--p", "2", flag, str(total - 1))
+    assert code == 4
+    assert payload["error"]["kind"] == "BudgetExceeded"
+
+
 def test_job_file(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(

@@ -217,6 +217,23 @@ def test_lp_maximize_single_coordinate():
         lp_maximize([Fraction(1)], matrix)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda m: lp_maximize([0.1, 1], m),  # used to optimize the binary value of 0.1
+        lambda m: lp_maximize(["1/2", 1], m),  # used to answer 7/12
+        lambda m: lp_maximize([True, 1], m),  # used to read True as 1
+        lambda m: lp_maximize([True, "x"], m),  # used to raise a raw ValueError
+        lambda m: solve_lp([1.5], [[1]], [1]),  # used to answer 3/2
+    ],
+    ids=["float", "string", "bool", "bool-and-text", "solve-lp-float"],
+)
+def test_lp_entries_must_be_ints_or_fractions(solve):
+    matrix = matrix_of(gens("x^2+y^3", variables=("x", "y")))
+    with pytest.raises(InputError, match="LP entries must be ints or Fractions"):
+        solve(matrix)
+
+
 def test_newton_min_diagonal_frozen():
     assert newton_min_diagonal({(2, 0), (0, 3)}) == Fraction(6, 5)
     assert newton_min_diagonal({(1, 0, 0)}) == 1

@@ -241,6 +241,17 @@ def test_ring_tags_are_frozen_values():
         IntegersMod(5).p = 7
 
 
+def test_integers_mod_needs_a_prime():
+    # a composite modulus used to be accepted, and its coercion of 1/2
+    # raised a raw ValueError
+    with pytest.raises(InputError, match="^p must be a prime number, got 4$"):
+        IntegersMod(4)
+    with pytest.raises(InputError, match="^p must be a prime number, got 6$"):
+        reduce_mod_p(parse_polynomial("1/2*x+y", ("x", "y")), 6)
+    with pytest.raises(InputError, match="^p must fit in 31 bits$"):
+        IntegersMod(2_147_483_659)
+
+
 def test_coercion_rejects_non_numbers_and_bools():
     with pytest.raises(InputError, match="mod-5 coefficient expected, got '1'"):
         IntegersMod(5).coerce("1")
@@ -330,6 +341,12 @@ def test_polynomial_validation():
         Polynomial(QQ, 2, {(0, 0): 0.5})
     # zero coefficients are dropped on construction
     assert Polynomial(QQ, 2, {(1, 0): Fraction(0)}).is_zero()
+
+
+def test_polynomial_terms_must_be_a_mapping():
+    # a list of pairs used to raise a raw AttributeError
+    with pytest.raises(InputError, match="terms must map monomials to coefficients"):
+        Polynomial(QQ, 1, [((1,), 1)])
 
 
 def test_polynomial_varcount_must_be_nonnegative():
