@@ -213,10 +213,19 @@ def _resolve_inputs(args, job, flags):
     return values
 
 
+@functools.lru_cache(maxsize=256)
+def _parsed(text, variables):
+    """parse_polynomial(text, variables), memoized per process and bounded
+    like geometry._solved: a prime sweep parses each generator once.
+    Errors are not kept, and every job shares the one Polynomial."""
+    return parse_polynomial(text, variables)
+
+
 def _parse(texts, variables):
     """Polynomials of a list (or a list of lists) of strings."""
+    variables = tuple(variables)
     return [
-        _parse(t, variables) if isinstance(t, list) else parse_polynomial(t, variables)
+        _parse(t, variables) if isinstance(t, list) else _parsed(t, variables)
         for t in texts
     ]
 
@@ -377,6 +386,7 @@ def _build_parser():
         "--version", action="version", version="fptcert %s" % __version__
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    parser.commands = sub.choices  # command name -> its parser, for _parse_args
     for command, (help_text, flags, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         for name, _ in flags:
@@ -454,15 +464,35 @@ _dumps = (_dumps_fallback if sys.version_info < (3, 13)
           else functools.partial(json.dumps, indent=2))
 
 
+def _parse_args(argv):
+    """_build_parser().parse_args(argv), with a leading command name sent
+    straight to that command's parser; what it leaves over is reported by
+    the top-level parser, as parse_args would."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def _run(argv):
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     job = _load_job(args.job) if args.job else None
     if job is not None and "command" in job and job["command"] != args.command:
         raise InputError(
             "job file is for command %r, invoked as %r" % (job["command"], args.command)
         )
-    budgets = _resolve_budgets(args, job)
     _, flags, handler = _COMMANDS[args.command]
+    if job is not None:
+        known = {"command", "format", "budgets", *(name for name, _ in flags)}
+        for key in job:
+            if key not in known:
+                raise InputError("unknown key %r in job file for %s" % (key, args.command))
+    budgets = _resolve_budgets(args, job)
     values = _resolve_inputs(args, job, flags)
     inputs = {key: _jsonable(value) for key, value in values.items()}
     inputs["budgets"] = _json_fields(budgets)

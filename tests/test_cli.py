@@ -12,7 +12,7 @@ import pytest
 
 import fptcert
 from fptcert.budgets import Budgets
-from fptcert.cli import main
+from fptcert.cli import _COMMANDS, _build_parser, _flag, _parse_args, main
 from fptcert.errors import BudgetExceeded
 from test_parse_differential import random_text
 
@@ -602,6 +602,15 @@ INPUT_ERRORS = [
      "--alpha is not a rational number: Invalid literal for Fraction: 'abc'"),
     (["carry", "--block", "1/2,x", "--p", "2"], None,
      "--block is not a rational number: Invalid literal for Fraction: 'x'"),
+    # a misspelt key used to be dropped: fvol-bound then ran without its counts
+    (["fvol-bound"], {"vars": "x,y", "gens": "x,y", "p": 2, "count_e_max": 3},
+     "unknown key 'count_e_max' in job file for fvol-bound"),
+    (["carry"], {"block": "1/2", "p": 2, "gens": "x"},
+     "unknown key 'gens' in job file for carry"),
+    (["fpt-bound"], {"vars": "x", "gens": "x", "p": 2, "max_terms": 5},
+     "unknown key 'max_terms' in job file for fpt-bound"),
+    (["digits"], {"alpha": "1/2", "p": 2, "job": "other.json"},
+     "unknown key 'job' in job file for digits"),
 ]
 
 
@@ -669,6 +678,49 @@ def test_version_and_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fpt-bound", "--no-such-flag"])
     assert info.value.code == 2
+
+
+def _dispatch_argvs():
+    """Top-level argvs, and per subcommand each argv shape: flag and value,
+    flag=value, abbreviated and ambiguous flags, help, an unknown flag, a
+    flag with no value, --version after the command, '--' and a negative
+    value."""
+    argvs = [[], ["--version"], ["-h"], ["no-such-command"], ["--version", "nu"]]
+    for command, (_, flags, _) in _COMMANDS.items():
+        every = [arg for name, _ in flags for arg in (_flag(name), "5")]
+        first, last = _flag(flags[0][0]), _flag(flags[-1][0])
+        argvs += [[command, *shape] for shape in (
+            every + ["--job", "j.json", "--format", "text", "--max-terms", "9"],
+            [first + "=5"],
+            [first[:4], "5"],
+            ["--max", "5"],
+            ["-h"],
+            ["--no-such-flag", "5"],
+            [last],
+            [first, "5", "--version"],
+            ["--", "5"],
+            [last, "-3"],
+        )]
+    return argvs
+
+
+def _outcome(capsys, parse, argv):
+    """parse(argv)'s Namespace, or the code of the exit it makes, with the
+    text it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _dispatch_argvs(), ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(capsys, argv):
+    expected = _outcome(capsys, _build_parser().parse_args, argv)
+    assert _outcome(capsys, _parse_args, argv) == expected
+    if argv[:1] == ["--version"]:
+        assert expected == (0, "fptcert 0.1.0\n", "")
 
 
 def test_console_script_runs(tmp_path):

@@ -1,16 +1,18 @@
-"""The certificate pipeline's memo of maximal points: ``geometry._solved``
-answers every repeat of an exponent matrix from one solve, bounded, and
-the output is the same as with a fresh solve on every call."""
+"""The certificate pipeline's memos: ``geometry._solved`` answers every
+repeat of an exponent matrix from one solve, and ``cli._parsed`` every
+repeat of a generator text from one parse; both are bounded, and the
+output is the same as with a fresh solve and parse on every call."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from fptcert import geometry
-from fptcert.cli import main
-from fptcert.errors import FptcertError, NonUniqueMaximalPoint
+from fptcert import cli, geometry
+from fptcert.cli import _parsed, main
+from fptcert.errors import FptcertError, InputError, NonUniqueMaximalPoint, ParseError
 from fptcert.geometry import ExponentMatrix, _solved, maximal_point
+from fptcert.polyring import parse_polynomial
 from fptcert.thresholds import _unique_rho, lct_fpt_classifier
 from test_geometry import _random_matrix, gens, matrix_of
 
@@ -23,6 +25,13 @@ def empty_memo():
     _solved.cache_clear()
     yield
     _solved.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_parse_memo():
+    _parsed.cache_clear()
+    yield
+    _parsed.cache_clear()
 
 
 def _fields(cert):
@@ -154,3 +163,108 @@ def test_memo_is_bounded():
     assert _solved.cache_info().misses == misses
     _solved(matrices[0])
     assert _solved.cache_info().misses == misses + 1
+
+
+def test_parse_memo_hits_repeats_within_its_bound():
+    xy = ("x", "y")
+    first = _parsed("x^2+y^3", xy)
+    assert _parsed("x^2+y^3", xy) is first
+    assert _parsed("x^2+y^3", ("y", "x")) != first  # the variables are part of the key
+    info = _parsed.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+    assert info.maxsize == _solved.cache_info().maxsize
+    for k in range(1, info.maxsize + 2):
+        _parsed("x^%d" % k, xy)
+    info = _parsed.cache_info()
+    assert info.currsize == info.maxsize
+    assert info.misses == 2 + info.maxsize + 1
+
+
+@pytest.mark.parametrize("text,variables,error", [
+    ("x^^2", ("x",), ParseError),
+    ("x+1/0", ("x",), ParseError),
+    ("x", ("x", "x"), InputError),
+    ("x", ("1x",), InputError),
+])
+def test_parse_errors_are_raised_on_every_call(text, variables, error):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            _parsed(text, variables)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    info = _parsed.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 3, 0)
+
+
+def test_parse_memo_calls_the_parser_on_misses_only(monkeypatch, capsys):
+    calls = []
+
+    def recorder(text, variables):
+        calls.append((text, variables))
+        return parse_polynomial(text, variables)
+
+    monkeypatch.setattr(cli, "parse_polynomial", recorder)
+    _parsed("x^2+y^3", ("x", "y"))
+    assert calls == [("x^2+y^3", ("x", "y"))]
+    _parsed("x^2+y^3", ("x", "y"))
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["fpt-bound", *PAIR, "--p", "5"]) == 0
+    assert calls == [("x^2+x*y^2", ("x", "y", "z")), ("y*z^3", ("x", "y", "z"))]
+    calls.clear()
+    for p in PRIMES:
+        assert main(["verify-prime", *PAIR, "--p", str(p)]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
+def _seeded_tuples(rng, count):
+    """Generator texts in x, y, z: one to three generators, each one to
+    three terms with small coefficients and exponents, no constant term."""
+    tuples = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = set()
+            while len(terms) < rng.randint(1, 3):
+                exps = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
+                if any(exps):
+                    terms.add(exps)
+            gens.append("+".join(
+                "%d*x^%d*y^%d*z^%d" % (rng.randint(1, 6), *exps) for exps in sorted(terms)))
+        tuples.append(",".join(gens))
+    return tuples
+
+
+def test_prime_sweep_output_does_not_depend_on_the_parse_memo(capsys):
+    texts = [PAIR[3], *_seeded_tuples(random.Random(26), 3)]
+    argvs = [[command, "--vars", "x,y,z", "--gens", text, "--p", str(p), *extra]
+             for text in texts for p in PRIMES
+             for command, extra in (("fpt-bound", []), ("fvol-bound", []),
+                                    ("verify-prime", []), ("nu", ["--e", "1"]),
+                                    ("witness", ["--e", "1"]))]
+
+    def sweep(clear):
+        out = []
+        for argv in argvs:
+            if clear:
+                _parsed.cache_clear()
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    fresh = sweep(clear=True)
+    _parsed.cache_clear()
+    assert sweep(clear=False) == fresh
+    assert {code for code, _ in fresh} <= {0, 2, 3}
+    info = _parsed.cache_info()
+    keys = {(t, ("x", "y", "z")) for text in texts for t in text.split(",")}
+    assert info.misses == info.currsize == len(keys)
+    assert info.hits == sum(len(argv[4].split(",")) for argv in argvs) - len(keys)
+    # the memo hands one Polynomial to every job: no handler changed it
+    for key in keys:
+        cached, again = _parsed(*key), parse_polynomial(*key)
+        assert (cached.ring, cached.varcount, list(cached.terms.items())) == (
+            again.ring, again.varcount, list(again.terms.items()))
+    assert _parsed.cache_info().misses == len(keys)
