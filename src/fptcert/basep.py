@@ -248,28 +248,62 @@ def _first_carry(rows, p, meter):
     heap smallest c first, and each pushes only its own first surviving
     refinement and its parent's next one, so the heap holds at most one
     entry more than the classes taken off it, every class taken off has
-    c <= j, and the first one that fixes every row gives the least j."""
+    c <= j, and the first one that fixes every row gives the least j.
+
+    With g = gcd(M_d, L_d) and cycle = L_d / g, the refinements of c
+    read row d at r + g y mod L_d, r = c mod g, y = q + (M_d / g) x mod
+    cycle and q = (c mod L_d) // g.  The line of (d, slack, r) holds at
+    byte i whether row d's digit at r + M_d i mod L_d passes the cheap
+    test, written twice, so refinement x is byte at + x with at = q
+    (M_d / g)^-1 mod cycle, and ``bytes.find`` jumps to the next
+    candidate.  A key gets its line only once its scans have read as
+    many digits as the line holds, 2 cycle, and never for a negative
+    slack, which every digit passes, so building lines adds at most
+    half to the digits a plain scan reads."""
     t = len(rows)
-    need = [p - 1 - sum(max(row) for row in rows[d:]) for d in range(t + 1)]
+    highs = [max(row) for row in rows]
+    need = [p - 1 - sum(highs[d:]) for d in range(t + 1)]
+    if need[0] >= 0:  # not even the largest digits of all rows together carry
+        return INFINITY
     moduli = list(itertools.accumulate((len(row) for row in rows), math.lcm, initial=1))
-    # tops[d]: for every row k >= d, g = gcd(M_d, L_k) and the largest
+    # tops[d]: for every row k > d, g = gcd(M_{d+1}, L_k) and the largest
     # entry of the row at each residue mod g
     tops = [[(g, [max(row[r::g]) for r in range(g)]) for row in rows[d:]
-             for g in [math.gcd(moduli[d], len(row))]] for d in range(t + 1)]
+             for g in [math.gcd(moduli[d], len(row))]] for d in range(1, t + 1)]
+    shapes = [(g, len(row) // g, pow(step // g, -1, len(row) // g))
+              for row, step in zip(rows, moduli) for g in [math.gcd(step, len(row))]]
+    lines = {}  # (d, slack, r) -> its line, or the digits its scans have read
     heap = []
 
     def push(c, total, d, first):
         # the first surviving refinement c + M_d x, x >= first, of class c at depth d
-        row, step, later, slack = rows[d], moduli[d], tops[d + 1], need[d + 1] - total
-        length = len(row)
-        for j in range(c + step * first, c + moduli[d + 1], step):
+        row, step, later, slack = rows[d], moduli[d], tops[d], need[d + 1] - total
+        length, (share, cycle, inverse) = len(row), shapes[d]
+        key = (d, slack, c % share)
+        line = lines.get(key, 0)
+        if type(line) is int:
+            x = cycle - 1
+            for j in range(c + step * first, c + moduli[d + 1], step):
+                digit = row[j % length]
+                if digit > slack and total + digit + sum(top[j % g] for g, top in later) > p - 1:
+                    x = (j - c) // step
+                    heapq.heappush(heap, (j, -d - 1, x, c, total, total + digit))
+                    break
+            if slack >= 0:
+                line += x + 1 - first
+                lines[key] = line if line < 2 * cycle else _line(row, step, key[2], cycle, slack)
+            return
+        at = c % length // share * inverse % cycle
+        i = line.find(1, at + first, at + cycle)
+        while i >= 0:
+            j = c + step * (i - at)
             digit = row[j % length]
-            if digit > slack and total + digit + sum(top[j % g] for g, top in later) > p - 1:
-                heapq.heappush(heap, (j, -d - 1, (j - c) // step, c, total, total + digit))
+            if total + digit + sum(top[j % g] for g, top in later) > p - 1:
+                heapq.heappush(heap, (j, -d - 1, i - at, c, total, total + digit))
                 return
+            i = line.find(1, i + 1, at + cycle)
 
-    if need[0] < 0:  # the class of every j, 0 mod 1, can still carry
-        push(0, 0, 0, 0)
+    push(0, 0, 0, 0)  # the class of every j, 0 mod 1
     while heap:
         j, depth, x, c, total, refined = heapq.heappop(heap)
         meter.charge_multisets()
@@ -278,6 +312,15 @@ def _first_carry(rows, p, meter):
         push(c, total, -depth - 1, x + 1)
         push(j, refined, -depth, 0)
     return INFINITY
+
+
+def _line(row, step, r, cycle, slack):
+    """Byte i, for 0 <= i < 2 cycle: whether row[(r + step i) mod
+    len(row)] exceeds ``slack`` (the line of ``_first_carry``)."""
+    length = len(row)
+    step = step % length or length  # a step of 0 mod length leaves cycle = 1
+    line = bytes([row[k % length] > slack for k in range(r, r + step * cycle, step)])
+    return line + line
 
 
 def adds_without_carrying(alphas, p, meter=None):

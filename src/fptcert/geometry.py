@@ -273,11 +273,17 @@ def vertices(matrix, budgets=None):
     start = _optimal_dictionary([0] * N, matrix.rows, [1] * matrix.varcount)
     seen = {frozenset(start.basic)}
     queue = collections.deque([start])
-    found = set()
+    found = set()  # each basic solution gamma as (q, *q gamma), q its least denominator
     while queue:
         meter.charge_multisets()
         dictionary = queue.popleft()
-        found.add(tuple(dictionary.values(range(N))))
+        point = [0] * N
+        for vid, row in zip(dictionary.basic, dictionary.rows):
+            if vid < N:
+                point[vid] = row[0]
+        share = math.gcd(dictionary.d, *point)
+        found.add((dictionary.d // share, *(v // share for v in point)))
+        basic = frozenset(dictionary.basic)
         for col, entering in enumerate(dictionary.nonbasic):
             # the rows tied at the least ratio num / den = row[0] / -row[1 + col]
             tied, least = [], None
@@ -290,13 +296,16 @@ def vertices(matrix, budgets=None):
                     elif gap == 0:
                         tied.append(i)
             for i in tied:
-                basis = frozenset(dictionary.basic) - {dictionary.basic[i]} | {entering}
+                basis = basic - {dictionary.basic[i]} | {entering}
                 if basis not in seen:
                     seen.add(basis)
                     neighbour = dictionary.copy()
                     neighbour.pivot(i, col)
                     queue.append(neighbour)
-    return sorted(found)
+    common = math.lcm(*(q for q, *_ in found))  # sorted as ints over one denominator
+    order = sorted(found, key=lambda point: [v * (common // point[0]) for v in point[1:]])
+    zero = Fraction(0)  # most coordinates: one shared Fraction
+    return [tuple(Fraction(v, q) if v else zero for v in scaled) for q, *scaled in order]
 
 
 def _support_rows(supports):

@@ -1,12 +1,16 @@
 """Base-p digit streams, truncations, carry horizons, and the
 digit-wise multinomial test."""
 
+import collections
+import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from fptcert import basep
 from fptcert.basep import (
     INFINITY,
     CarryHorizon,
@@ -325,6 +329,101 @@ def test_carry_horizon_prunes_by_shared_factor():
     meter = Meter(Budgets(max_multisets=10))
     assert carry_horizon(block, 2, meter) == CarryHorizon(INFINITY)
     assert meter.multisets <= 2
+
+
+def _scan_first_carry(rows, p, meter):
+    """``basep._first_carry`` with the plain scan only: every
+    refinement's digit is read from its row, one period position at a
+    time.  The reference for the line search."""
+    t = len(rows)
+    need = [p - 1 - sum(max(row) for row in rows[d:]) for d in range(t + 1)]
+    moduli = list(itertools.accumulate((len(row) for row in rows), math.lcm, initial=1))
+    tops = [[(g, [max(row[r::g]) for r in range(g)]) for row in rows[d:]
+             for g in [math.gcd(moduli[d], len(row))]] for d in range(t + 1)]
+    heap = []
+
+    def push(c, total, d, first):
+        row, step, later, slack = rows[d], moduli[d], tops[d + 1], need[d + 1] - total
+        length = len(row)
+        for j in range(c + step * first, c + moduli[d + 1], step):
+            digit = row[j % length]
+            if digit > slack and total + digit + sum(top[j % g] for g, top in later) > p - 1:
+                heapq.heappush(heap, (j, -d - 1, (j - c) // step, c, total, total + digit))
+                return
+
+    if need[0] < 0:
+        push(0, 0, 0, 0)
+    while heap:
+        j, depth, x, c, total, refined = heapq.heappop(heap)
+        meter.charge_multisets()
+        if -depth == t:
+            return j
+        push(c, total, -depth - 1, x + 1)
+        push(j, refined, -depth, 0)
+    return INFINITY
+
+
+def _seeded_rows(rng, p):
+    """Period rows for ``_first_carry``: the enumerate shapes (one
+    nonzero digit per row, as in 1/(p^L - 1), two or three rows, with or
+    without a short extra period), periods sharing a factor (so
+    gcd(M_d, L_d) > 1), and sparse or dense rows of free lengths."""
+    shape = rng.choice(["unit", "shared", "free"])
+    if shape == "unit":
+        lengths = rng.sample(range(2, 48), rng.randint(2, 3))
+        if rng.random() < 0.5:
+            lengths.append(rng.randint(1, 3))
+        rows = []
+        for L in lengths:
+            row = [0] * L
+            row[rng.randrange(L) if rng.random() < 0.3 else L - 1] = (
+                1 if p < 5 else rng.randint(1, p - 1))
+            rows.append(row)
+        return [tuple(row) for row in rows]
+    if shape == "shared":
+        factor = rng.randint(2, 6)
+        lengths = [factor * rng.randint(1, 9) for _ in range(rng.randint(2, 4))]
+    else:
+        lengths = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+    density = rng.choice([0.05, 0.2, 0.5, 1.0])
+    return [tuple(rng.randint(0, p - 1) if rng.random() < density else 0 for _ in range(L))
+            for L in lengths]
+
+
+def _first_carry_outcome(search, rows, p):
+    meter = Meter(Budgets(max_multisets=20000))
+    try:
+        return search(rows, p, meter), meter.multisets
+    except BudgetExceeded:
+        return "budget", meter.multisets
+
+
+def test_line_search_matches_scan(monkeypatch):
+    """Seeded row sets: the line search of ``_first_carry`` finds the
+    same first carry as the plain scan and takes the same classes off
+    its heap (or stops at the same class on the budget)."""
+    built = collections.Counter()
+
+    def counted_line(row, step, r, cycle, slack):
+        built["lines"] += 1
+        built["off residue 0"] += r > 0
+        built["scaled"] += step % len(row) > 1
+        return line(row, step, r, cycle, slack)
+
+    line = basep._line
+    monkeypatch.setattr(basep, "_line", counted_line)
+    rng = random.Random(27)
+    outcomes = collections.Counter()
+    for _ in range(1200):
+        p = rng.choice([2, 3, 5, 7, 257])
+        rows = _seeded_rows(rng, p)
+        expected = _first_carry_outcome(_scan_first_carry, rows, p)
+        before = built["lines"]
+        assert _first_carry_outcome(basep._first_carry, rows, p) == expected, (rows, p)
+        outcomes["finite" if expected[0] != INFINITY else "infinite"] += 1
+        outcomes["built a line"] += built["lines"] > before
+    assert min(outcomes.values()) >= 20, outcomes
+    assert min(built.values()) >= 20, built
 
 
 def test_carry_horizon_validation():
