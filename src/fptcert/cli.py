@@ -269,7 +269,7 @@ def _cmd_polytope(inp):
     return {
         "block_sizes": _jsonable(matrix.block_sizes),
         "matrix": _jsonable(matrix.rows),
-        "M": str(cert.M),
+        "M": _jsonable(cert.M),
         "rho": _jsonable(cert.blocks_of_rho),
         "unique": cert.unique,
         "coordinate_ranges": None if cert.unique else _jsonable(cert.coordinate_ranges),

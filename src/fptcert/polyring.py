@@ -5,7 +5,6 @@ coefficient rings are supported, the rationals (Fraction coefficients)
 and the integers mod a prime p (int coefficients in [1, p-1]).
 """
 
-import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -179,18 +178,13 @@ class Polynomial:
 def poly_pow(a, n):
     """a**n for an integer n >= 0; a**0 is the constant 1."""
     _check_int(n, "exponent", 0)
-    return _power(a, n, operator.mul, Polynomial.one(a.ring, a.varcount))
-
-
-def _power(base, n, mul, one):
-    """base**n by repeated squaring, every product formed by ``mul``."""
-    result = one
-    while n:
+    result = Polynomial.one(a.ring, a.varcount)
+    while n:  # repeated squaring
         if n & 1:
-            result = mul(result, base)
+            result = result * a
         n >>= 1
         if n:
-            base = mul(base, base)
+            a = a * a
     return result
 
 

@@ -13,6 +13,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .basep import (
 )
 from .budgets import Meter
 from .errors import (
+    BudgetExceeded,
     FptcertError,
     InputError,
     NonUniqueMaximalPoint,
@@ -47,7 +49,6 @@ from .polyring import (
     IntegersMod,
     Polynomial,
     _Box,
-    _power,
     reduce_mod_p,
 )
 
@@ -102,13 +103,25 @@ def _unique_rho(generators, p=None):
     return mapping, matrix, cert
 
 
+def _check_text_digits(*numbers):
+    """BudgetExceeded if an int is too long for str() to write: over
+    sys.get_int_max_str_digits() digits (0, or no such function, is no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for n in numbers:  # |n| < 2**(3 limit) < 10**limit needs no power of ten
+        if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+            raise BudgetExceeded("a result integer has more than %d digits, the "
+                                 "int-to-text limit (PYTHONINTMAXSTRDIGITS)" % limit)
+
+
 def _jsonable(value):
-    """JSON form of a value: rationals as strings, tuples as lists,
-    carry horizons as an int or "inf"."""
+    """JSON form of a value: rationals as strings, tuples as lists, carry
+    horizons as an int or "inf"; a number too long for text is refused."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, CarryHorizon):
         return value.to_json_value()
+    if isinstance(value, (int, Fraction)):
+        _check_text_digits(value.numerator, value.denominator)
     return str(value) if isinstance(value, Fraction) else value
 
 
@@ -482,8 +495,8 @@ class WitnessReport:
 
 
 def coefficient_witness(generators, p, e, budgets=None):
-    """Expand g = prod f_i**(p**e |<rho_i>_e|) over GF(p), truncated to
-    the box below the target, and compare the coefficient of
+    """Expand g = prod f_i**(p**e |<rho_i>_e|) over GF(p) below the target,
+    one base-p digit of the exponents at a time, and compare the coefficient of
     x**(p**e E <rho>_e) with the digit prediction:
     the product over blocks of the multinomial (Q_i; p**e <rho_i>_e)
     times the matching powers of the retained coefficients."""
@@ -499,12 +512,20 @@ def coefficient_witness(generators, p, e, budgets=None):
         sum(col[i] * k for col, k in zip(matrix.columns, flat_parts))
         for i in range(matrix.varcount)
     )
-    # Only terms below the target can reach it in a product.
-    box = _Box([x + 1 for x in target], p)
-    mul = functools.partial(meter.mul, box)
-    product = {0: 1}
-    for g, q_i in zip(mapping.original_generators, exponents):
-        product = mul(product, _power(box.pack(g), q_i, mul, {0: 1}))
+    _check_text_digits(*exponents, *target)
+    # P_k = prod f_i**(Q_i div p**k) is Frob(P_(k+1)) prod f_i**(digit k of
+    # Q_i), kept below target div p**k: only those terms reach the target.
+    # All levels pack alike (one room), so Frob multiplies the keys by p.
+    scale, product = 1, {0: 1}
+    while scale * p <= max(exponents):
+        scale *= p
+    while scale:  # scale = p**k, from the top digit k down
+        box = _Box([x // scale + 1 for x in target], p, max(target) + 1)
+        product = {key * p: c for key, c in product.items()}
+        for g, q_i in zip(mapping.original_generators, exponents):
+            for packed in [box.pack(g)] * (q_i // scale % p):  # digit k of Q_i
+                product = meter.mul(box, product, packed)
+        scale //= p
     actual = product.get(box.key(target), 0)
 
     expected = 1

@@ -47,7 +47,7 @@ EDGES = [
     ("nu", "max_multisets", 9, 9),
     ("fvolume_count", "max_terms", 86, 19),
     ("fvolume_count", "max_multisets", 25, 23),
-    ("coefficient_witness", "max_terms", 30, 21),
+    ("coefficient_witness", "max_terms", 30, 23),
 ]
 
 

@@ -400,6 +400,53 @@ def test_deep_climb_exit_four(capsys):
     assert payload["error"]["kind"] == "BudgetExceeded"
 
 
+# Exponents 2^127 - 1 and 2^131 - 1: the carry horizon is 16,636, so the
+# certificate's denominators have over 5,000 digits.
+MERSENNE = [
+    "--vars", "x,y", "--gens", "x^%d+y^%d" % (2**127 - 1, 2**131 - 1), "--p", "2"
+]
+
+
+@pytest.fixture
+def int_text_limit():
+    """sys.set_int_max_str_digits, the default limit set first and the
+    caller's restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fpt-bound", *MERSENNE],
+        ["fvol-bound", *MERSENNE],
+        ["verify-prime", *MERSENNE],
+        ["witness", "--vars", "x", "--gens", "x", "--p", "2", "--e", "15000"],
+        # M = 1/a + 1/b has a denominator of 4,401 digits
+        ["polytope", "--vars", "x,y",
+         "--gens", "x^%d+y^%d" % (10**2200 + 1, 10**2200 + 3)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_int_text_limit_exit_four(capsys, int_text_limit, argv):
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 4
+    assert payload["error"]["kind"] == "BudgetExceeded"
+    message = payload["error"]["message"]
+    assert "4300" in message and "PYTHONINTMAXSTRDIGITS" in message
+    assert err == "error: %s\n" % message
+
+
+def test_int_text_limit_lifted(capsys, int_text_limit):
+    int_text_limit(0)
+    code, out, err = run(capsys, "fpt-bound", *MERSENNE)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["S"] == [16636]
+
+
 def test_env_budgets(capsys, monkeypatch):
     monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "2")
     code, _, _ = run_json(capsys, "nu", *PAIR, "--p", "2", "--e", "2")
