@@ -141,13 +141,14 @@ def digits(alpha, p, meter=None):
     limit = None if meter is None else max(
         (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
     for steps in itertools.count(1) if meter is None else range(1, limit):
-        d = -((-step * r) // rest) - 1
+        x = step * r - 1  # d = ceil(step r / rest) - 1 = x // rest, next state x % rest + 1
+        d = x // rest
         block = table[d] if k > 1 else (d,)
         if r in back:
             period += block[: back[r]]
             break
         period += block
-        r = step * r - d * rest
+        r = x % rest + 1
     else:
         meter.charge_multisets(k * limit)  # step limit passes the cap: it raises
     if meter is not None:

@@ -25,7 +25,7 @@ from .errors import (
     RingMismatch,
 )
 from .polyring import Polynomial, grlex_key
-from .simplex import _optimal_dictionary, solve_lp
+from .simplex import _Dictionary, _optimal_dictionary, solve_lp
 
 @dataclass(frozen=True)
 class ReducedMapping:
@@ -262,50 +262,53 @@ def vertices(matrix, budgets=None):
     slack basis is its only basis; Bland's rule on max -|gamma| reaches
     it from any feasible basis by ratio-test pivots, whose reverses are
     ratio-test pivots, so every feasible basis is visited.  A column
-    without a negative entry (a zero column of E) never enters.  The cap
-    on N comes from the dimension budget; each feasible basis visited is
-    charged against the multiset budget.
+    without a negative entry (a zero column of E) never enters.  Each
+    basis is read through the column views of its rows and keyed by the
+    bitmask of its basic ids.  The cap on N comes from the dimension
+    budget; each feasible basis visited is charged against the multiset
+    budget.
     """
     meter = Meter(budgets)
     N, cap = matrix.width, meter.budgets.max_dimension
     if N > cap:
         raise DimensionTooLarge("polytope dimension %d exceeds the cap %d" % (N, cap))
-    start = _optimal_dictionary([0] * N, matrix.rows, [1] * matrix.varcount)
-    seen = {frozenset(start.basic)}
-    queue = collections.deque([start])
-    found = set()  # each basic solution gamma as (q, *q gamma), q its least denominator
+    rows = [[1, *(-a for a in row)] for row in matrix.rows]  # the slack basis, at gamma = 0
+    start = _Dictionary(list(range(N)), list(range(N, N + len(rows))), rows)
+    key = sum(1 << vid for vid in start.basic)  # a basis as the bitmask of its ids
+    seen = {key}
+    queue = collections.deque([(start, key)])
+    found = set()  # each basic solution gamma as (d, *d gamma), d its basis's determinant
     while queue:
         meter.charge_multisets()
-        dictionary = queue.popleft()
+        dictionary, key = queue.popleft()
+        basic = dictionary.basic
+        rhs, *columns = zip(*dictionary.rows)
         point = [0] * N
-        for vid, row in zip(dictionary.basic, dictionary.rows):
+        for vid, b in zip(basic, rhs):
             if vid < N:
-                point[vid] = row[0]
-        share = math.gcd(dictionary.d, *point)
-        found.add((dictionary.d // share, *(v // share for v in point)))
-        basic = frozenset(dictionary.basic)
-        for col, entering in enumerate(dictionary.nonbasic):
-            # the rows tied at the least ratio num / den = row[0] / -row[1 + col]
-            tied, least = [], None
-            for i, row in enumerate(dictionary.rows):
-                num, den = row[0], -row[1 + col]
-                if den > 0:
-                    gap = -1 if least is None else num * least[1] - least[0] * den
+                point[vid] = b
+        found.add((dictionary.d, *point))
+        for col, (entering, column) in enumerate(zip(dictionary.nonbasic, columns)):
+            # the rows tied at the least ratio rhs[i] / -column[i], column[i] < 0
+            tied, b, a = [], 1, 0  # the least ratio so far is b / -a (none: 1 / 0)
+            for i, entry in enumerate(column):
+                if entry < 0:
+                    gap = b * entry - rhs[i] * a
                     if gap < 0:
-                        tied, least = [i], (num, den)
+                        tied, b, a = [i], rhs[i], entry
                     elif gap == 0:
                         tied.append(i)
             for i in tied:
-                basis = basic - {dictionary.basic[i]} | {entering}
+                basis = key ^ 1 << basic[i] ^ 1 << entering
                 if basis not in seen:
                     seen.add(basis)
                     neighbour = dictionary.copy()
                     neighbour.pivot(i, col)
-                    queue.append(neighbour)
-    common = math.lcm(*(q for q, *_ in found))  # sorted as ints over one denominator
-    order = sorted(found, key=lambda point: [v * (common // point[0]) for v in point[1:]])
-    zero = Fraction(0)  # most coordinates: one shared Fraction
-    return [tuple(Fraction(v, q) if v else zero for v in scaled) for q, *scaled in order]
+                    queue.append((neighbour, basis))
+    common = math.lcm(*(d for d, *_ in found))  # every point as ints over one denominator
+    order = sorted({tuple(map((common // d).__mul__, point)) for d, *point in found})
+    fraction = {n: Fraction(n, common) for n in set(itertools.chain(*order))}  # one per value
+    return [tuple(map(fraction.get, point)) for point in order]
 
 
 def _support_rows(supports):

@@ -62,7 +62,8 @@ class _Dictionary:
         new[1 + col_index] = -d if a < 0 else d
         for i, target in enumerate(rows):
             rows[i] = new if i == row_index else _eliminate(target, new, col_index, d, abs(a))
-        self.z = _eliminate(self.z, new, col_index, d, abs(a))
+        if any(self.z):  # a zero objective row stays zero
+            self.z = _eliminate(self.z, new, col_index, d, abs(a))
         self.d = abs(a)
         self.basic[row_index], self.nonbasic[col_index] = (
             self.nonbasic[col_index],
@@ -114,9 +115,10 @@ class _Dictionary:
         self.z = [self.z[j] for j in cols]
 
     def copy(self):
-        rows = [list(r) for r in self.rows]
-        return _Dictionary(list(self.nonbasic), list(self.basic), rows, self.d, list(self.z),
-                           self.scale, self.units)
+        # pivot, maximize and restrict build new row lists and a new z rather
+        # than edit them (only _phase_one appends, before any copy): share them
+        return _Dictionary(list(self.nonbasic), list(self.basic), list(self.rows), self.d,
+                           self.z, self.scale, self.units)
 
     def values(self, vids):
         """Values of the given variables at the basic solution."""

@@ -120,9 +120,15 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, CarryHorizon):
         return value.to_json_value()
-    if isinstance(value, (int, Fraction)):
-        _check_text_digits(value.numerator, value.denominator)
-    return str(value) if isinstance(value, Fraction) else value
+    if isinstance(value, Fraction):
+        try:
+            return str(value)
+        except ValueError:  # str() refuses it: the check words the refusal
+            _check_text_digits(value.numerator, value.denominator)
+            raise
+    if isinstance(value, int) and value.bit_length() > 1920:
+        _check_text_digits(value)  # under 2**1920 < 10**640, the least limit, it fits
+    return value
 
 
 def _json_fields(result, **keys):

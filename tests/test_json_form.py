@@ -5,12 +5,16 @@ hand (kept below as the reference)."""
 
 import json
 import random
+import re
+import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 
+import pytest
+
 from fptcert.basep import INFINITY, CarryHorizon
 from fptcert.budgets import Budgets, Meter
-from fptcert.errors import FptcertError
+from fptcert.errors import BudgetExceeded, FptcertError
 from fptcert.fvolume import fvolume_estimate, fvolume_lower_bound
 from fptcert.polyring import QQ, Polynomial
 from fptcert.thresholds import (
@@ -192,3 +196,34 @@ def test_jsonable_values():
     assert _jsonable(None) is None
     assert _jsonable(True) is True and _jsonable(False) is False
     assert _jsonable(((5, True), (7, False))) == [[5, True], [7, False]]
+
+
+@pytest.fixture(params=[640, 4300])
+def text_limit(request):
+    """The int-to-text limit set to 640 digits (the least Python allows) or
+    4,300 (its default), and the caller's restored after the test."""
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(caller)
+
+
+def test_jsonable_text_limit_edge(text_limit):
+    """At the limit a number renders; one digit past it, as an int of either
+    sign, a Fraction's numerator or denominator, or nested in vertex-like
+    tuples, it is refused with the int-to-text message."""
+    refusal = re.escape("a result integer has more than %d digits, the int-to-text "
+                        "limit (PYTHONINTMAXSTRDIGITS)" % text_limit)
+    for sign in (1, -1):
+        fits, over = sign * (10**text_limit - 1), sign * 10**text_limit
+        assert _jsonable(fits) == fits
+        assert _jsonable([(Fraction(fits, 2), Fraction(2, fits))]) == [
+            ["%d/2" % fits, "%d/%d" % (2 * sign, abs(fits))]
+        ]
+        assert _jsonable(((0, fits), (True, 1))) == [[0, fits], [True, 1]]
+        for value in (over, Fraction(over, 3), Fraction(3, over),
+                      ((Fraction(1, 2), over),), [(Fraction(0), Fraction(1, over))]):
+            with pytest.raises(BudgetExceeded, match=refusal):
+                _jsonable(value)
+    for small in (True, False, 0, -7, 2**1920 - 1):
+        assert _jsonable(small) is small
