@@ -79,9 +79,18 @@ def _split_blocks(vector, block_sizes):
     return tuple(tuple(vector[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+def _sequence(items, name):
+    """``items`` as a tuple, or InputError when it is not iterable."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise InputError("%s %r is not a sequence" % (name, items)) from None
+    return tuple(iterator)
+
+
 def _polynomials(generators):
     """A generator sequence as a non-empty tuple of polynomials."""
-    generators = tuple(generators)
+    generators = _sequence(generators, "generators")
     if not generators:
         raise InputError("at least one generator is required")
     for i, g in enumerate(generators):
@@ -282,7 +291,7 @@ def vertices(matrix, budgets=None):
         meter.charge_multisets()
         dictionary, key = queue.popleft()
         basic = dictionary.basic
-        rhs, *columns = zip(*dictionary.rows)
+        rhs, *columns = list(zip(*dictionary.rows)) or [()] * (1 + N)  # no rows: the origin
         point = [0] * N
         for vid, b in zip(basic, rhs):
             if vid < N:

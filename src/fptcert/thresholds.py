@@ -39,6 +39,7 @@ from .errors import (
 from .geometry import (
     _check_generators,
     _polynomials,
+    _sequence,
     _solved,
     exponent_matrix,
     newton_min_diagonal,
@@ -193,10 +194,19 @@ def _block_floors(p, rho_blocks, horizons, level):
     return floors
 
 
+_certified = {}  # (generator tuple, p) -> (multisets charged, certificate), least recent first
+
+
 def fpt_bound(generators, p, meter=None):
     """Certificate for the threshold of the ideal the generators span,
     over GF(p).  Rational generators are reduced mod p first.  Every
     block's carry search is charged to ``meter`` (``Meter()`` if None).
+
+    Each (generator tuple, p) is certified once per process: a repeat
+    returns the same frozen certificate and charges ``meter`` the
+    multisets its first call charged, clipped one past the cap, so the
+    totals and the refusal are those of the search.  The memo keeps the
+    256 most recently used results and no errors.
 
     When every block of rho adds without carrying in base p the value
     is exact (it equals |rho|); otherwise the finite carry horizons
@@ -204,16 +214,25 @@ def fpt_bound(generators, p, meter=None):
     sum_{i not in I} |rho_i| + sum_{i in I} (|<rho_i>_{S_i}| + p**-S_i),
     the sum of the block floors at level INFINITY.
     """
-    _, _, cert = _unique_rho(generators, p)
+    _check_prime(p)
+    key = (_polynomials(generators), p)
+    if (entry := _certified.pop(key, None)) is not None:
+        charged, certificate = _certified[key] = entry  # now the most recently used
+        meter = meter if meter is not None else Meter()
+        left = meter.budgets.max_multisets - meter.multisets
+        meter.charge_multisets(min(charged, left + 1))
+        return certificate
+    _, _, cert = _unique_rho(key[0], p)
     rho_blocks = cert.blocks_of_rho
     meter = meter if meter is not None else Meter()
+    before = meter.multisets
     horizons = tuple(carry_horizon(block, p, meter) for block in rho_blocks)
     finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
     truncations = tuple(
         tuple(truncation(a, p, horizons[i].value) for a in rho_blocks[i])
         for i in finite_indices
     )
-    return FptCertificate(
+    certificate = FptCertificate(
         p=p,
         kind=KIND_LOWER_BOUND if finite_indices else KIND_EXACT,
         value=sum(_block_floors(p, rho_blocks, horizons, INFINITY)),
@@ -223,6 +242,10 @@ def fpt_bound(generators, p, meter=None):
         finite_indices=finite_indices,
         truncations=truncations,
     )
+    if len(_certified) == 256:
+        del _certified[next(iter(_certified))]
+    _certified[key] = (meter.multisets - before, certificate)
+    return certificate
 
 
 def witness_floor(certificate, scan_level):
@@ -278,7 +301,7 @@ def _escape_sets(ideals, e, budgets=None):
     packed keys by p.  Every level is downward closed, as the containment
     order forces: the image by construction, the shell as the search asserts.
     """
-    ideals = [tuple(gens) for gens in ideals]
+    ideals = [_sequence(gens, "generators") for gens in _sequence(ideals, "ideals")]
     generators = _check_generators([g for gens in ideals for g in gens])
     if not all(ideals):
         raise InputError("every ideal needs at least one generator")
@@ -460,7 +483,7 @@ def _ladder(ideals, p, e_max, budgets):
     one climb (_escape_sets) over the t ideals and one meter.  Rational
     generators are reduced mod p first."""
     _check_int(e_max, "e_max")
-    fp_ideals = [_to_fp_generators(gens, p) for gens in ideals]
+    fp_ideals = [_to_fp_generators(gens, p) for gens in _sequence(ideals, "ideals")]
     for e, level in enumerate(_escape_sets(fp_ideals, e_max, budgets), 1):
         yield e, len(level), p ** (e * len(fp_ideals))
 
@@ -598,7 +621,7 @@ def lct_fpt_classifier(generators):
     automatically infinite: it contains every p = 1 mod the lcm of the
     denominators).  Mixed sums: inconclusive.
     """
-    generators = tuple(generators)
+    generators = _sequence(generators, "generators")
     for i, g in enumerate(generators):
         if not isinstance(g, Polynomial) or g.ring != QQ:
             raise RingMismatch(
@@ -709,7 +732,7 @@ def verify_prime(generators, p, verdict, meter=None):
         raise InputError("verify_prime needs the verdict of the classifier")
     if not verdict.conclusive:
         raise InputError("the verdict is inconclusive; nothing to verify")
-    generators = tuple(generators)
+    generators = _polynomials(generators)
     meter = meter if meter is not None else Meter()
     preserved = newton_polyhedron_preserved(generators, p)
     certificate = fpt_bound(generators, p, meter) if preserved else None

@@ -1,19 +1,29 @@
 """The certificate pipeline's memos: ``geometry._solved`` answers every
-repeat of an exponent matrix from one solve, and ``cli._parsed`` every
-repeat of a generator text from one parse; both are bounded, and the
-output is the same as with a fresh solve and parse on every call."""
+repeat of an exponent matrix from one solve, ``cli._parsed`` every
+repeat of a generator text from one parse, and ``thresholds._certified``
+every repeat of a (generator tuple, p) from one ``fpt_bound``, replaying
+its multiset charges; all are bounded, and the output and the meter
+totals are the same as with a fresh solve, parse and certificate on
+every call."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from fptcert import cli, geometry
+from fptcert import cli, geometry, thresholds
+from fptcert.budgets import Meter
 from fptcert.cli import _parsed, main
-from fptcert.errors import FptcertError, InputError, NonUniqueMaximalPoint, ParseError
+from fptcert.errors import (
+    EmptyBlock,
+    FptcertError,
+    InputError,
+    NonUniqueMaximalPoint,
+    ParseError,
+)
 from fptcert.geometry import ExponentMatrix, _solved, maximal_point
 from fptcert.polyring import parse_polynomial
-from fptcert.thresholds import _unique_rho, lct_fpt_classifier
+from fptcert.thresholds import _certified, _unique_rho, fpt_bound, lct_fpt_classifier
 from test_geometry import _random_matrix, gens, matrix_of
 
 PAIR = ["--vars", "x,y,z", "--gens", "x^2+x*y^2,y*z^3"]
@@ -34,21 +44,28 @@ def empty_parse_memo():
     _parsed.cache_clear()
 
 
+@pytest.fixture(autouse=True)
+def empty_certificate_memo():
+    _certified.clear()
+    yield
+    _certified.clear()
+
+
 def _fields(cert):
     return (cert.M, cert.rho, cert.unique, cert.coordinate_ranges, cert.dual,
             cert.block_sizes)
 
 
-def _recording(monkeypatch, name):
-    """Replace ``geometry.<name>`` by a wrapper that records its first
+def _recording(monkeypatch, name, module=geometry):
+    """Replace ``module.<name>`` by a wrapper that records its first
     argument; returns the list of recorded arguments."""
-    calls, original = [], getattr(geometry, name)
+    calls, original = [], getattr(module, name)
 
     def wrapper(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(geometry, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -129,6 +146,7 @@ def _sweep(capsys, gens_text, clear):
     for argv in argvs:
         if clear:
             _solved.cache_clear()
+            _certified.clear()
         code = main(argv)
         out.append((argv, code, capsys.readouterr().out))
     return out
@@ -268,3 +286,109 @@ def test_prime_sweep_output_does_not_depend_on_the_parse_memo(capsys):
         assert (cached.ring, cached.varcount, list(cached.terms.items())) == (
             again.ring, again.varcount, list(again.terms.items()))
     assert _parsed.cache_info().misses == len(keys)
+
+
+CERTIFYING = ("fpt-bound", "fvol-bound", "verify-prime")
+
+
+def _certify_argvs(texts):
+    """Each text at each prime through the three commands that call
+    fpt_bound, in the order of a prime sweep."""
+    return [[command, "--vars", "x,y,z", "--gens", text, "--p", str(p)]
+            for text in texts for p in PRIMES for command in CERTIFYING]
+
+
+@pytest.fixture
+def meters(monkeypatch):
+    """The meters the CLI handlers make, in order of making."""
+    made = []
+
+    class Recording(Meter):
+        def __init__(self, budgets=None):
+            super().__init__(budgets)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "Meter", Recording)
+    return made
+
+
+def _job(capsys, meters, argv, clear=False):
+    """(exit code, stdout, stderr, multisets charged) of one CLI call, with
+    the certificate memo emptied first when ``clear``."""
+    if clear:
+        _certified.clear()
+    meters.clear()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, sum(m.multisets for m in meters)
+
+
+def test_prime_sweep_matches_cold_certificates(monkeypatch, capsys, meters):
+    argvs = _certify_argvs(_seeded_tuples(random.Random(30), 100))
+    solves = _recording(monkeypatch, "_unique_rho", thresholds)
+    cold = [_job(capsys, meters, argv, clear=True) for argv in argvs]
+    cold_solves = len(solves)
+    assert {code for code, *_ in cold} == {0, 2, 3}
+    assert sum(charged >= 2 for *_, charged in cold) >= 100
+    warm = [_job(capsys, meters, argv) for argv in argvs]
+    assert warm == cold
+    # a repeat of (tuple, p) is answered from the memo, so fewer solves
+    assert len(solves) - cold_solves < cold_solves
+    order = list(range(len(argvs)))
+    random.Random(31).shuffle(order)
+    shuffled = {i: _job(capsys, meters, argvs[i]) for i in order}
+    assert [shuffled[i] for i in range(len(argvs))] == cold
+    assert len(_certified) == 256
+
+
+def test_budget_edge_is_the_same_warm_and_cold(capsys, meters):
+    """At a charge c the budget c passes and c - 1 exits 4; budget 1 is
+    met one past the cap.  A refused call leaves nothing in the memo."""
+    argvs = _certify_argvs(_seeded_tuples(random.Random(30), 100))
+    cases = [(argv, charged) for argv in argvs
+             for code, _, _, charged in [_job(capsys, meters, argv, clear=True)]
+             if code == 0 and charged >= 2]
+    assert sum(charged >= 3 for _, charged in cases) >= 10
+    for argv, charged in cases:
+        for budget in {charged, charged - 1, 1}:
+            edged = argv + ["--max-multisets", str(budget)]
+            cold = _job(capsys, meters, edged, clear=True)
+            if budget < charged:
+                assert cold[0] == 4 and not _certified
+                assert "multiset budget exhausted (%d > %d)" % (budget + 1, budget) in cold[2]
+            else:
+                assert cold[0] == 0
+            _job(capsys, meters, argv)
+            assert _job(capsys, meters, edged) == cold, edged
+
+
+@pytest.mark.parametrize("texts,p,error", [
+    (("x+x*y^2", "y*z^2"), 5, NonUniqueMaximalPoint),
+    (("x+y", "y"), 5, EmptyBlock),
+    (("3*x", "y"), 3, InputError),  # reduces to zero mod 3
+])
+def test_certificate_errors_are_raised_on_every_call(monkeypatch, texts, p, error):
+    generators = gens(*texts)
+    solves = _recording(monkeypatch, "_unique_rho", thresholds)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            fpt_bound(generators, p)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert len(solves) == 3 and not _certified
+
+
+def test_certificate_memo_keeps_the_256_most_recently_used():
+    generators = [tuple(gens("x^%d+y" % k)) for k in range(1, 258)]
+    first = fpt_bound(generators[0], 5)
+    assert fpt_bound(list(generators[0]), 5) is first  # keyed on the gate's tuple
+    assert fpt_bound(generators[0], 7) is not first  # and on p
+    _certified.clear()
+    for g in generators[:256]:
+        fpt_bound(g, 5)
+    assert len(_certified) == 256
+    fpt_bound(generators[0], 5)  # a hit makes it the most recently used
+    fpt_bound(generators[256], 5)
+    assert len(_certified) == 256
+    assert (generators[0], 5) in _certified and (generators[1], 5) not in _certified

@@ -19,6 +19,7 @@ from fptcert.fvolume import (
     fvolume_estimate,
     fvolume_lower_bound,
     fvolume_points,
+    term_ideal_volume_bound,
     volume_witness_floor,
 )
 from fptcert.polyring import (
@@ -480,6 +481,32 @@ def test_newton_polyhedron_preserved_needs_polynomials():
     # a string used to raise a raw AttributeError
     with pytest.raises(InputError, match="generator 0 is not a polynomial"):
         newton_polyhedron_preserved(["x"], 5)
+
+
+NON_ITERABLE_CALLS = {
+    "fpt_bound": lambda: fpt_bound(None, 5),
+    "nu": lambda: nu(None, 1),
+    "fpt_estimate": lambda: fpt_estimate(None, 5, 1),
+    "coefficient_witness": lambda: coefficient_witness(None, 5, 1),
+    "lct_fpt_classifier": lambda: lct_fpt_classifier(None),
+    "newton_polyhedron_preserved": lambda: newton_polyhedron_preserved(None, 5),
+    "verify_prime": lambda: verify_prime(
+        None, 5, lct_fpt_classifier(two_fermat_blocks(2, 3, 4))),
+    "fvolume_lower_bound": lambda: fvolume_lower_bound(None, 5),
+    "fvolume_count": lambda: fvolume_count([None], 1),
+    "fvolume_count of no sequence": lambda: fvolume_count(None, 1),
+    "fvolume_points": lambda: fvolume_points([None], 1),
+    "fvolume_estimate": lambda: fvolume_estimate([None], 5, 1),
+    "fvolume_estimate of no sequence": lambda: fvolume_estimate(None, 5, 1),
+    "term_ideal_volume_bound": lambda: term_ideal_volume_bound(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ITERABLE_CALLS))
+def test_non_iterable_generators_are_input_errors(name):
+    # each raised a raw TypeError ('NoneType' object is not iterable)
+    with pytest.raises(InputError, match="^(generators|ideals) None is not a sequence$"):
+        NON_ITERABLE_CALLS[name]()
 
 
 def test_verify_prime_above_t():

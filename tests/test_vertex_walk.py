@@ -60,3 +60,11 @@ def test_walk_matches_reference(monkeypatch):
         seen.update(kinds)
         seen["degenerate"] += feasible > len(expected)  # a vertex with two bases
     assert min(seen["repeated row"], seen["zero column"], seen["degenerate"]) >= 50, seen
+
+
+def test_matrix_without_rows_has_the_origin_alone():
+    """No constraint row: the slack basis is empty, no column can enter,
+    and the origin is the one vertex, visited for one multiset."""
+    matrix = ExponentMatrix(varcount=0, columns=((), ()), block_sizes=(2,))
+    assert vertices(matrix) == [(0, 0)]
+    assert vertices(matrix, Budgets(max_multisets=1)) == [(0, 0)]
