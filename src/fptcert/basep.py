@@ -3,7 +3,7 @@
 Every alpha in (0, 1] has a unique expansion alpha = sum d_k / p**k
 whose digit tail is not eventually zero; rationals of the form a/p**e
 get trailing digits p-1.  Digits are indexed from 1.  The convention
-for truncations is <alpha>_0 = 0 and <0>_e = 0.
+for truncation is <alpha>_0 = 0 and <0>_e = 0.
 """
 
 import functools

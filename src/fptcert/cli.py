@@ -13,8 +13,10 @@ default.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import re
 import sys
 from collections import namedtuple
 from dataclasses import fields, replace
@@ -30,6 +32,7 @@ from .fvolume import fvolume_estimate, fvolume_lower_bound
 from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
 from .polyring import parse_polynomial
 from .thresholds import (
+    _check_text_digits,
     _json_fields,
     _jsonable,
     _to_fp_generators,
@@ -58,7 +61,7 @@ def _load_job(path):
             job = json.load(handle)
     except OSError as exc:
         raise InputError("cannot read job file: %s" % exc) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8, or an int past the limit
         raise InputError("job file is not valid JSON: %s" % exc) from exc
     if not isinstance(job, dict):
         raise InputError("job file must hold a JSON object")
@@ -107,6 +110,14 @@ def _norm_fraction(value, flag, key=None):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        head, e, tail = value.strip().lower().rpartition("e")
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        # Fraction builds 10**|exponent| first; past limit + len(head) a nonzero
+        # value has a part the input echo refuses, so it is refused here
+        with contextlib.suppress(ValueError):  # Fraction words any other refusal
+            if (limit and e and re.fullmatch(r"[-+]?\d+(_\d+)*", tail)
+                    and abs(int(tail)) > limit + len(head) and Fraction(head + "e0")):
+                _check_text_digits(10**limit)  # limit + 1 digits: the check words it
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basep import INFINITY
 from .geometry import exponent_matrix, reduce_generators, vertices
 from .thresholds import (
     _block_floors,
@@ -43,13 +42,13 @@ def fvolume_lower_bound(generators, p, meter=None):
     """Lower bound for the volume of the tuple of principal ideals
     (f_1), ..., (f_t): the product over blocks of |rho_i| when the
     block adds without carrying, and |<rho_i>_{S_i}| + p**-S_i at a
-    finite carry horizon S_i.  These are the block floors at level
-    INFINITY whose sum is the threshold bound of ``fpt_bound``, whose
-    carry searches are charged to ``meter``."""
+    finite carry horizon S_i.  These are the block floors that the
+    certificate of ``fpt_bound`` carries and sums to its threshold bound;
+    its carry searches are charged to ``meter``."""
     cert = fpt_bound(generators, p, meter)
     return FVolumeCertificate(
         p=p,
-        bound=math.prod(_block_floors(p, cert.rho_blocks, cert.horizons, INFINITY)),
+        bound=math.prod(cert.floors),
         rho_blocks=cert.rho_blocks,
         horizons=cert.horizons,
         finite_indices=cert.finite_indices,

@@ -154,7 +154,7 @@ class FptCertificate:
     rho_blocks: tuple
     horizons: tuple  # CarryHorizon per block
     finite_indices: tuple  # 0-based block indices with finite horizon
-    truncations: tuple  # truncated blocks, aligned with finite_indices
+    floors: tuple  # block floors at level INFINITY, summing to value
 
     @property
     def t(self):
@@ -166,7 +166,7 @@ class FptCertificate:
 
     def to_json_dict(self):
         return _json_fields(self, rho_blocks="rho", horizons="S", finite_indices="I",
-                            truncations=None)
+                            floors=None)
 
 
 def _block_floors(p, rho_blocks, horizons, level):
@@ -216,31 +216,27 @@ def fpt_bound(generators, p, meter=None):
     """
     _check_prime(p)
     key = (_polynomials(generators), p)
+    meter = meter if meter is not None else Meter()
     if (entry := _certified.pop(key, None)) is not None:
         charged, certificate = _certified[key] = entry  # now the most recently used
-        meter = meter if meter is not None else Meter()
         left = meter.budgets.max_multisets - meter.multisets
         meter.charge_multisets(min(charged, left + 1))
         return certificate
     _, _, cert = _unique_rho(key[0], p)
     rho_blocks = cert.blocks_of_rho
-    meter = meter if meter is not None else Meter()
     before = meter.multisets
     horizons = tuple(carry_horizon(block, p, meter) for block in rho_blocks)
     finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
-    truncations = tuple(
-        tuple(truncation(a, p, horizons[i].value) for a in rho_blocks[i])
-        for i in finite_indices
-    )
+    floors = tuple(_block_floors(p, rho_blocks, horizons, INFINITY))
     certificate = FptCertificate(
         p=p,
         kind=KIND_LOWER_BOUND if finite_indices else KIND_EXACT,
-        value=sum(_block_floors(p, rho_blocks, horizons, INFINITY)),
+        value=sum(floors),
         upper_bound=min(Fraction(len(rho_blocks)), cert.M),
         rho_blocks=rho_blocks,
         horizons=horizons,
         finite_indices=finite_indices,
-        truncations=truncations,
+        floors=floors,
     )
     if len(_certified) == 256:
         del _certified[next(iter(_certified))]

@@ -6,14 +6,16 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fptcert
 from fptcert.budgets import Budgets
-from fptcert.cli import _COMMANDS, _build_parser, _flag, _parse_args, main
-from fptcert.errors import BudgetExceeded
+from fptcert.cli import _COMMANDS, _build_parser, _flag, _norm_fraction, _parse_args, main
+from fptcert.errors import BudgetExceeded, InputError
 from test_parse_differential import random_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -445,6 +447,55 @@ def test_int_text_limit_lifted(capsys, int_text_limit):
     assert (code, err) == (0, "")
     result = json.loads(out)["result"]
     assert result["S"] == [16636]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"p": ' + b"7" * 5000 + b"}"],
+    ids=["not-utf8", "int-past-text-limit"],
+)
+def test_job_file_unreadable_json(tmp_path, capsys, int_text_limit, content):
+    job = tmp_path / "job.json"
+    job.write_bytes(content)
+    code, payload, err = run_json(capsys, "fpt-bound", *PAIR, "--job", str(job))
+    assert code == 2
+    assert payload["error"]["kind"] == "InputError"
+    assert payload["error"]["message"].startswith("job file is not valid JSON: ")
+    assert err == "error: %s\n" % payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["digits", "--alpha", "1e-30000000", "--p", "2"],
+        ["digits", "--alpha", "2.5E+30000000", "--p", "2"],
+        ["carry", "--block", "1e-30000000,1/2", "--p", "2"],
+    ],
+)
+def test_exponent_past_int_text_limit_is_refused_fast(capsys, int_text_limit, argv):
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 5  # well under the time to build 10**30000000
+    assert code == 4
+    assert payload["error"] == {
+        "kind": "BudgetExceeded",
+        "message": "a result integer has more than 4300 digits, the int-to-text "
+                   "limit (PYTHONINTMAXSTRDIGITS)",
+    }
+
+
+def test_exponent_notation_within_the_limit_or_zero(capsys, int_text_limit):
+    for zero in ("0e-5000", "0.00E+5000"):
+        assert run(capsys, "carry", "--block", zero + ",1/2", "--p", "2") == run(
+            capsys, "carry", "--block", "0,1/2", "--p", "2")
+    # the refusal needs a part past the limit: 1000e-4302 is 1/10**4299
+    assert _norm_fraction("1000e-4302", "--alpha") == Fraction(1, 10**4299)
+    assert _norm_fraction("1_0e-1_0", "--alpha") == Fraction(1, 10**9)
+    with pytest.raises(BudgetExceeded, match="4300 digits"):
+        _norm_fraction("1e-4302", "--alpha")
+    for text in ("1/2e9999", "1e 99999999", "e99999999", "1e99999999_"):
+        with pytest.raises(InputError, match="Invalid literal for Fraction: '%s'" % text):
+            _norm_fraction(text, "--alpha")
 
 
 def test_env_budgets(capsys, monkeypatch):

@@ -2,16 +2,19 @@
 repeat of an exponent matrix from one solve, ``cli._parsed`` every
 repeat of a generator text from one parse, and ``thresholds._certified``
 every repeat of a (generator tuple, p) from one ``fpt_bound``, replaying
-its multiset charges; all are bounded, and the output and the meter
-totals are the same as with a fresh solve, parse and certificate on
-every call."""
+its multiset charges; the certificate carries its block floors, so
+``fvolume_lower_bound`` multiplies them without rebuilding; all are
+bounded, and the output and the meter totals are the same as with a
+fresh solve, parse and certificate on every call."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fptcert import cli, geometry, thresholds
+from fptcert import cli, fvolume, geometry, thresholds
+from fptcert.basep import INFINITY
 from fptcert.budgets import Meter
 from fptcert.cli import _parsed, main
 from fptcert.errors import (
@@ -21,9 +24,16 @@ from fptcert.errors import (
     NonUniqueMaximalPoint,
     ParseError,
 )
+from fptcert.fvolume import fvolume_lower_bound
 from fptcert.geometry import ExponentMatrix, _solved, maximal_point
 from fptcert.polyring import parse_polynomial
-from fptcert.thresholds import _certified, _unique_rho, fpt_bound, lct_fpt_classifier
+from fptcert.thresholds import (
+    _block_floors,
+    _certified,
+    _unique_rho,
+    fpt_bound,
+    lct_fpt_classifier,
+)
 from test_geometry import _random_matrix, gens, matrix_of
 
 PAIR = ["--vars", "x,y,z", "--gens", "x^2+x*y^2,y*z^3"]
@@ -392,3 +402,35 @@ def test_certificate_memo_keeps_the_256_most_recently_used():
     fpt_bound(generators[256], 5)
     assert len(_certified) == 256
     assert (generators[0], 5) in _certified and (generators[1], 5) not in _certified
+
+
+def test_certificate_floors_are_the_block_floors_cold_and_warm(monkeypatch):
+    """The floors a certificate carries are the block floors at level
+    INFINITY; the threshold bound is their sum and the volume bound their
+    product, and a warm ``fvolume_lower_bound`` builds no floor."""
+    cases = []
+    for text in _seeded_tuples(random.Random(32), 100):
+        generators = gens(*text.split(","))
+        for p in PRIMES:
+            try:
+                fpt_bound(generators, p)
+            except FptcertError:
+                continue
+            cases.append((generators, p))
+    assert len(cases) >= 200
+    calls = _recording(monkeypatch, "_block_floors", thresholds)
+    monkeypatch.setattr(fvolume, "_block_floors", thresholds._block_floors)
+    deep = 0
+    for generators, p in cases:
+        _certified.clear()
+        for warm in (False, True):
+            cert = fpt_bound(generators, p)
+            expected = tuple(_block_floors(p, cert.rho_blocks, cert.horizons, INFINITY))
+            assert cert.floors == expected, (generators, p)
+            assert cert.value == sum(cert.floors)
+            calls.clear()
+            assert fvolume_lower_bound(generators, p).bound == math.prod(cert.floors)
+            assert not (warm and calls), (generators, p)
+        deep += expected != tuple(_block_floors(p, cert.rho_blocks, cert.horizons, 1))
+    # so floors taken at a finite level would fail the checks above
+    assert deep >= 100

@@ -94,7 +94,7 @@ def test_fpt_bound_structure_at_two():
     )
     assert cert.horizons == (CarryHorizon(1), CarryHorizon(INFINITY))
     assert cert.finite_indices == (0,)
-    assert cert.truncations == ((Fraction(0), Fraction(0)),)
+    assert cert.floors == (Fraction(1, 2), Fraction(1, 3))
     assert cert.t == 2
     assert cert.block_sums == (Fraction(2, 3), Fraction(1, 3))
     assert cert.to_json_dict() == {
