@@ -54,12 +54,12 @@ class Meter:
         self.term_ops = 0
 
     def charge_multisets(self, count=1):
+        """Add ``count``; a total past the cap reads, and is refused as, cap + 1."""
+        cap = self.budgets.max_multisets
         self.multisets += count
-        if self.multisets > self.budgets.max_multisets:
-            raise BudgetExceeded(
-                "multiset budget exhausted (%d > %d)"
-                % (self.multisets, self.budgets.max_multisets)
-            )
+        if self.multisets > cap:
+            self.multisets = cap + 1
+            raise BudgetExceeded("multiset budget exhausted (%d > %d)" % (cap + 1, cap))
 
     def charge_terms(self, n):
         self.term_ops += n

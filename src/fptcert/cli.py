@@ -113,10 +113,12 @@ def _norm_fraction(value, flag, key=None):
         head, e, tail = value.strip().lower().rpartition("e")
         limit = getattr(sys, "get_int_max_str_digits", int)()
         # Fraction builds 10**|exponent| first; past limit + len(head) a nonzero
-        # value has a part the input echo refuses, so it is refused here
+        # value has a part the input echo refuses, so it is refused here; zero is zero
         with contextlib.suppress(ValueError):  # Fraction words any other refusal
             if (limit and e and re.fullmatch(r"[-+]?\d+(_\d+)*", tail)
-                    and abs(int(tail)) > limit + len(head) and Fraction(head + "e0")):
+                    and abs(int(tail)) > limit + len(head)):
+                if not (mantissa := Fraction(head + "e0")):
+                    return mantissa
                 _check_text_digits(10**limit)  # limit + 1 digits: the check words it
         try:
             return Fraction(value.strip())
@@ -292,7 +294,7 @@ def _cmd_polytope(inp):
 def _cmd_digits(inp):
     stream = digits(inp.alpha, inp.p, Meter(inp.budgets))  # the walk's own meter
     # one multiset per prefix digit, before the list, in one charge
-    Meter(inp.budgets).charge_multisets(min(inp.count, inp.budgets.max_multisets + 1))
+    Meter(inp.budgets).charge_multisets(inp.count)
     return {
         "alpha": str(inp.alpha),
         "p": inp.p,

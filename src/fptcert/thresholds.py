@@ -194,41 +194,17 @@ def _block_floors(p, rho_blocks, horizons, level):
     return floors
 
 
-_certified = {}  # (generator tuple, p) -> (multisets charged, certificate), least recent first
-
-
-def fpt_bound(generators, p, meter=None):
-    """Certificate for the threshold of the ideal the generators span,
-    over GF(p).  Rational generators are reduced mod p first.  Every
-    block's carry search is charged to ``meter`` (``Meter()`` if None).
-
-    Each (generator tuple, p) is certified once per process: a repeat
-    returns the same frozen certificate and charges ``meter`` the
-    multisets its first call charged, clipped one past the cap, so the
-    totals and the refusal are those of the search.  The memo keeps the
-    256 most recently used results and no errors.
-
-    When every block of rho adds without carrying in base p the value
-    is exact (it equals |rho|); otherwise the finite carry horizons
-    S_i produce the certified lower bound
-    sum_{i not in I} |rho_i| + sum_{i in I} (|<rho_i>_{S_i}| + p**-S_i),
-    the sum of the block floors at level INFINITY.
-    """
-    _check_prime(p)
-    key = (_polynomials(generators), p)
-    meter = meter if meter is not None else Meter()
-    if (entry := _certified.pop(key, None)) is not None:
-        charged, certificate = _certified[key] = entry  # now the most recently used
-        left = meter.budgets.max_multisets - meter.multisets
-        meter.charge_multisets(min(charged, left + 1))
-        return certificate
-    _, _, cert = _unique_rho(key[0], p)
+@functools.lru_cache(maxsize=256)
+def _certified(generators, p, budgets):
+    """(multisets charged, certificate) of a generator tuple over GF(p), the carry
+    searches run on a fresh ``Meter(budgets)``; bounded like geometry._solved."""
+    _, _, cert = _unique_rho(generators, p)
     rho_blocks = cert.blocks_of_rho
-    before = meter.multisets
+    meter = Meter(budgets)
     horizons = tuple(carry_horizon(block, p, meter) for block in rho_blocks)
     finite_indices = tuple(i for i, h in enumerate(horizons) if h.finite)
     floors = tuple(_block_floors(p, rho_blocks, horizons, INFINITY))
-    certificate = FptCertificate(
+    return meter.multisets, FptCertificate(
         p=p,
         kind=KIND_LOWER_BOUND if finite_indices else KIND_EXACT,
         value=sum(floors),
@@ -238,9 +214,33 @@ def fpt_bound(generators, p, meter=None):
         finite_indices=finite_indices,
         floors=floors,
     )
-    if len(_certified) == 256:
-        del _certified[next(iter(_certified))]
-    _certified[key] = (meter.multisets - before, certificate)
+
+
+def fpt_bound(generators, p, meter=None):
+    """Certificate for the threshold of the ideal the generators span,
+    over GF(p).  Rational generators are reduced mod p first.  Every
+    block's carry search is charged to ``meter`` (``Meter()`` if None).
+
+    Each (generator tuple, p, budgets) is certified once per process
+    (``_certified``): every call returns the same frozen certificate and
+    charges ``meter`` the multisets of the search in one charge, so the
+    totals and the refusal are those of the search.  A search its own
+    meter refuses is charged past the caller's cap, with the same message.
+
+    When every block of rho adds without carrying in base p the value
+    is exact (it equals |rho|); otherwise the finite carry horizons
+    S_i produce the certified lower bound
+    sum_{i not in I} |rho_i| + sum_{i in I} (|<rho_i>_{S_i}| + p**-S_i),
+    the sum of the block floors at level INFINITY.
+    """
+    _check_prime(p)
+    generators = _polynomials(generators)
+    meter = meter if meter is not None else Meter()
+    try:
+        charged, certificate = _certified(generators, p, meter.budgets)
+    except BudgetExceeded:  # the search passed the cap: the charge below raises too
+        charged, certificate = meter.budgets.max_multisets + 1, None
+    meter.charge_multisets(charged)
     return certificate
 
 
@@ -411,10 +411,8 @@ def _escape_sets(ideals, e, budgets=None):
             room[j] = tops[j]
             if j + 1 < offsets[owner[j] + 1]:
                 room[j] += room[j + 1]
-        # the image, charged before it is built, at most one past the cap
-        size = sum(p ** sum(map(bool, m)) for m in below)
-        left = meter.budgets.max_multisets - meter.multisets
-        meter.charge_multisets(min(size - 1, left + 1))
+        # the image, charged before it is built
+        meter.charge_multisets(sum(p ** sum(map(bool, m)) for m in below) - 1)
         members = {}
         layers = collections.defaultdict(set)
         for m, vector in below.items():

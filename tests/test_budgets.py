@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from fptcert import cli
-from fptcert.budgets import Budgets
+from fptcert.budgets import Budgets, Meter
 from fptcert.errors import BudgetExceeded
 from fptcert.fvolume import fvolume_count
 from fptcert.polyring import parse_polynomial, reduce_mod_p
@@ -84,3 +84,24 @@ def test_each_budget_is_named_by_its_field(field):
         line.startswith("|") and "`%s`" % flag in line and "`%s`" % variable in line
         for line in readme.splitlines()
     )
+
+
+@pytest.mark.parametrize("spent", [0, 3, 10])
+def test_a_charge_past_the_cap_reads_one_past_it(spent):
+    """Within the cap a charge adds exactly its count; past it the
+    meter reads and refuses cap + 1, however large the count."""
+    meter = Meter(Budgets(max_multisets=10))
+    meter.charge_multisets(spent)
+    meter.charge_multisets(0)
+    assert meter.multisets == spent
+    if spent < 10:
+        meter.charge_multisets(10 - spent)
+        assert meter.multisets == 10
+    for count in (1, 2, 10**30):
+        with pytest.raises(BudgetExceeded, match=r"^multiset budget exhausted \(11 > 10\)$"):
+            meter.charge_multisets(count)
+        assert meter.multisets == 11
+    fresh = Meter(Budgets(max_multisets=10))
+    with pytest.raises(BudgetExceeded, match=r"\(11 > 10\)"):
+        fresh.charge_multisets(10**30 + spent)
+    assert fresh.multisets == 11

@@ -485,9 +485,11 @@ def test_exponent_past_int_text_limit_is_refused_fast(capsys, int_text_limit, ar
 
 
 def test_exponent_notation_within_the_limit_or_zero(capsys, int_text_limit):
-    for zero in ("0e-5000", "0.00E+5000"):
-        assert run(capsys, "carry", "--block", zero + ",1/2", "--p", "2") == run(
-            capsys, "carry", "--block", "0,1/2", "--p", "2")
+    for zero in ("0e-5000", "0.00E+5000", "0e-30000000", "0E+30000000"):
+        start = time.perf_counter()
+        out = run(capsys, "carry", "--block", zero + ",1/2", "--p", "2")
+        assert time.perf_counter() - start < 5  # as fast as the refusals above
+        assert out == run(capsys, "carry", "--block", "0,1/2", "--p", "2")
     # the refusal needs a part past the limit: 1000e-4302 is 1/10**4299
     assert _norm_fraction("1000e-4302", "--alpha") == Fraction(1, 10**4299)
     assert _norm_fraction("1_0e-1_0", "--alpha") == Fraction(1, 10**9)

@@ -114,7 +114,7 @@ def test_digits_prefix_charged_in_one_call(monkeypatch, capsys):
     monkeypatch.setattr(cli, "Meter", Counting)
     argv = ["digits", "--alpha", "1/3", "--p", "2", "--max-multisets", "1000"]
     assert main(argv + ["--count", "1000000000"]) == 4
-    assert calls == [2, 1001]  # the period's two one-digit steps, then the prefix
+    assert calls == [2, 1000000000]  # the period's two one-digit steps, then the prefix
     assert json.loads(capsys.readouterr().out)["error"]["message"] == (
         "multiset budget exhausted (1001 > 1000)"
     )

@@ -1,8 +1,8 @@
 """The certificate pipeline's memos: ``geometry._solved`` answers every
 repeat of an exponent matrix from one solve, ``cli._parsed`` every
 repeat of a generator text from one parse, and ``thresholds._certified``
-every repeat of a (generator tuple, p) from one ``fpt_bound``, replaying
-its multiset charges; the certificate carries its block floors, so
+every repeat of a (generator tuple, p, budgets) from one search, whose
+multisets every ``fpt_bound`` call charges; the certificate carries its block floors, so
 ``fvolume_lower_bound`` multiplies them without rebuilding; all are
 bounded, and the output and the meter totals are the same as with a
 fresh solve, parse and certificate on every call."""
@@ -15,9 +15,10 @@ import pytest
 
 from fptcert import cli, fvolume, geometry, thresholds
 from fptcert.basep import INFINITY
-from fptcert.budgets import Meter
+from fptcert.budgets import Budgets, Meter
 from fptcert.cli import _parsed, main
 from fptcert.errors import (
+    BudgetExceeded,
     EmptyBlock,
     FptcertError,
     InputError,
@@ -56,9 +57,9 @@ def empty_parse_memo():
 
 @pytest.fixture(autouse=True)
 def empty_certificate_memo():
-    _certified.clear()
+    _certified.cache_clear()
     yield
-    _certified.clear()
+    _certified.cache_clear()
 
 
 def _fields(cert):
@@ -156,7 +157,7 @@ def _sweep(capsys, gens_text, clear):
     for argv in argvs:
         if clear:
             _solved.cache_clear()
-            _certified.clear()
+            _certified.cache_clear()
         code = main(argv)
         out.append((argv, code, capsys.readouterr().out))
     return out
@@ -326,7 +327,7 @@ def _job(capsys, meters, argv, clear=False):
     """(exit code, stdout, stderr, multisets charged) of one CLI call, with
     the certificate memo emptied first when ``clear``."""
     if clear:
-        _certified.clear()
+        _certified.cache_clear()
     meters.clear()
     code = main(argv)
     captured = capsys.readouterr()
@@ -348,7 +349,7 @@ def test_prime_sweep_matches_cold_certificates(monkeypatch, capsys, meters):
     random.Random(31).shuffle(order)
     shuffled = {i: _job(capsys, meters, argvs[i]) for i in order}
     assert [shuffled[i] for i in range(len(argvs))] == cold
-    assert len(_certified) == 256
+    assert _certified.cache_info().currsize == 256
 
 
 def test_budget_edge_is_the_same_warm_and_cold(capsys, meters):
@@ -364,13 +365,54 @@ def test_budget_edge_is_the_same_warm_and_cold(capsys, meters):
             edged = argv + ["--max-multisets", str(budget)]
             cold = _job(capsys, meters, edged, clear=True)
             if budget < charged:
-                assert cold[0] == 4 and not _certified
+                assert cold[0] == 4 and not _certified.cache_info().currsize
                 assert "multiset budget exhausted (%d > %d)" % (budget + 1, budget) in cold[2]
             else:
                 assert cold[0] == 0
             _job(capsys, meters, argv)
             assert _job(capsys, meters, edged) == cold, edged
 
+
+
+def test_spent_meters_at_the_budget_edge_cold_and_warm():
+    """Library calls on meters already spent s, at caps around each
+    seeded charge c: cold and warm give the same certificate or the same
+    refusal, a refusal exactly when s + c passes the cap, and a refused
+    meter reads cap + 1, whether the search or the caller's charge passed it."""
+    cases = []
+    for text in _seeded_tuples(random.Random(30), 100):
+        generators = gens(*text.split(","))
+        for p in PRIMES:
+            meter = Meter()
+            try:
+                fpt_bound(generators, p, meter)
+            except FptcertError:
+                continue
+            if meter.multisets >= 2:
+                cases.append((generators, p, meter.multisets))
+    assert len(cases) >= 50 and any(charged >= 3 for *_, charged in cases)
+
+    def call(generators, p, cap, spent):
+        meter = Meter(Budgets(max_multisets=cap))
+        meter.charge_multisets(spent)
+        try:
+            outcome = fpt_bound(generators, p, meter)
+        except BudgetExceeded as exc:
+            outcome = str(exc)
+        return outcome, meter.multisets
+
+    for generators, p, charged in cases:
+        for cap in (charged - 1, charged, charged + 1):
+            for spent in sorted({0, 1, cap - charged, cap} - {-1}):
+                _certified.cache_clear()
+                cold = call(generators, p, cap, spent)
+                assert call(generators, p, cap, spent) == cold, (generators, p, cap, spent)
+                if spent + charged > cap:
+                    assert cold == ("multiset budget exhausted (%d > %d)" % (cap + 1, cap),
+                                    cap + 1)
+                else:
+                    assert cold[1] == spent + charged
+                    assert cold[0] == fpt_bound(generators, p)
 
 @pytest.mark.parametrize("texts,p,error", [
     (("x+x*y^2", "y*z^2"), 5, NonUniqueMaximalPoint),
@@ -386,7 +428,7 @@ def test_certificate_errors_are_raised_on_every_call(monkeypatch, texts, p, erro
             fpt_bound(generators, p)
         messages.append(str(info.value))
     assert len(set(messages)) == 1
-    assert len(solves) == 3 and not _certified
+    assert len(solves) == 3 and not _certified.cache_info().currsize
 
 
 def test_certificate_memo_keeps_the_256_most_recently_used():
@@ -394,14 +436,18 @@ def test_certificate_memo_keeps_the_256_most_recently_used():
     first = fpt_bound(generators[0], 5)
     assert fpt_bound(list(generators[0]), 5) is first  # keyed on the gate's tuple
     assert fpt_bound(generators[0], 7) is not first  # and on p
-    _certified.clear()
+    _certified.cache_clear()
     for g in generators[:256]:
         fpt_bound(g, 5)
-    assert len(_certified) == 256
+    assert _certified.cache_info().currsize == 256
     fpt_bound(generators[0], 5)  # a hit makes it the most recently used
     fpt_bound(generators[256], 5)
-    assert len(_certified) == 256
-    assert (generators[0], 5) in _certified and (generators[1], 5) not in _certified
+    assert _certified.cache_info().currsize == 256
+    hits, misses = _certified.cache_info()[:2]
+    fpt_bound(generators[0], 5)
+    assert _certified.cache_info()[:2] == (hits + 1, misses)
+    fpt_bound(generators[1], 5)
+    assert _certified.cache_info()[:2] == (hits + 1, misses + 1)
 
 
 def test_certificate_floors_are_the_block_floors_cold_and_warm(monkeypatch):
@@ -422,7 +468,7 @@ def test_certificate_floors_are_the_block_floors_cold_and_warm(monkeypatch):
     monkeypatch.setattr(fvolume, "_block_floors", thresholds._block_floors)
     deep = 0
     for generators, p in cases:
-        _certified.clear()
+        _certified.cache_clear()
         for warm in (False, True):
             cert = fpt_bound(generators, p)
             expected = tuple(_block_floors(p, cert.rho_blocks, cert.horizons, INFINITY))
