@@ -61,7 +61,8 @@ def fvolume_points(ideals, e, budgets=None):
     a_1**n_1 ... a_t**n_t not inside the e-th Frobenius power of the
     maximal ideal.  Read off the last level of the climb shared with nu
     (thresholds._escape_sets): each level's image is downward closed by
-    construction, and the climb checks that the shell keeps it so.
+    construction, and the climb checks that the shell, or for principal
+    ideals the column heights, keep it so.
     """
     return sorted(_escape_set(ideals, e, budgets))
 

@@ -88,7 +88,7 @@ class Polynomial:
     coerces each through ``ring.coerce`` and drops the zeros, so the
     arithmetic passes it plain, unreduced ints or Fractions."""
 
-    __slots__ = ("ring", "varcount", "terms")
+    __slots__ = ("ring", "varcount", "terms", "_hash")
 
     def __init__(self, ring, varcount, terms):
         if type(varcount) is not int or varcount < 0:
@@ -104,6 +104,7 @@ class Polynomial:
         self.ring = ring
         self.varcount = varcount
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def zero(cls, ring, varcount):
@@ -164,7 +165,10 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.varcount, frozenset(self.terms.items())))
+        # the terms are immutable by convention, so hash them once
+        if self._hash is None:
+            self._hash = hash((self.ring, self.varcount, frozenset(self.terms.items())))
+        return self._hash
 
     def total_degree(self):
         if not self.terms:

@@ -271,21 +271,37 @@ def _escape_sets(ideals, e, budgets=None):
     (V(1) is the origin), lies inside it: the p-th power of an escaping
     product escapes one level up, and so does each product dividing it, so p
     times the vector of m, lowered to the sums n_i, escapes.  It is charged,
-    a multiset per point but the origin, then built a box per m.  The shell,
-    the other members and the non-members next to them, is searched by |n|,
-    parents first, from the frontier: the points past a top face n_i = p m_i
-    of a box whose m + e_i is no member one level down.  At each point the
-    vector of the first member parent, grown by one in each generator slot
-    of the ideal that grew, is tried first, one multiset each.  If none
-    escapes, all vectors are walked depth first, ideal by ideal and each
-    ideal's generators last to first.  Vectors sharing a prefix share its
-    product, and a prefix whose product is empty ends its loop, since a
-    larger last exponent leaves it empty.  No exponent is tried that leaves
-    more to place in its ideal than the later slots can take, each at most
-    its top: the largest k with g**k nonempty in the box, at least p times
-    its top one level down.  Each full vector tried and each prefix cut off
-    costs one multiset.  The vectors only order the search: a member not
-    read off the level below is confirmed by a product.
+    a multiset per point but the origin, before the level is built.  Each
+    generator's top, the largest k with g**k nonempty in the box, is at
+    least p times its top one level down.
+
+    Where every ideal is principal a point is its own vector, and a level
+    is read off its column heights h(n') = max{n_t : (n', n_t) in V(q)},
+    one per prefix n' of the other t - 1 entries, visited by |n'|.  The
+    image puts h(n') at least p h'(ceil(n' / p)), h' the heights one
+    level down.  It is at most p h'(floor(n' / p)) + p - 1, since a
+    product outside the Frobenius power at q has its floor(n / p)-th
+    power outside it at q / p; at most each h(n' - e_i), by downward
+    closure; and at most the last generator's top.  A prefix past some
+    generator's top, or whose floor(n' / p) has no column one level down,
+    has no members.  Between these bounds the height is bisected, one
+    product and one multiset per probe.
+
+    Otherwise the image is built a box per m.  The shell, the other
+    members and the non-members next to them, is searched by |n|,
+    parents first, from the frontier: the points past a top face
+    n_i = p m_i of a box whose m + e_i is no member one level down.  At
+    each point the vector of the first member parent, grown by one in
+    each generator slot of the ideal that grew, is tried first, one
+    multiset each.  If none escapes, all vectors are walked depth first,
+    ideal by ideal and each ideal's generators last to first.  Vectors
+    sharing a prefix share its product, and a prefix whose product is
+    empty ends its loop, since a larger last exponent leaves it empty.
+    No exponent is tried that leaves more to place in its ideal than the
+    later slots can take, each at most its top.  Each full vector tried
+    and each prefix cut off costs one multiset.  The vectors only order
+    the search: a member not read off the level below is confirmed by a
+    product.
 
     Powers and products are truncated to the box below (q, ..., q)
     (``polyring._Box``): a term with some exponent >= q lies in the
@@ -295,7 +311,8 @@ def _escape_sets(ideals, e, budgets=None):
     where Frob multiplies each exponent by p and keeps each coefficient
     (c**p = c); all levels pack a monomial alike, so Frob multiplies the
     packed keys by p.  Every level is downward closed, as the containment
-    order forces: the image by construction, the shell as the search asserts.
+    order forces: the image by construction, the shell and the columns as
+    the searches assert.
     """
     ideals = [_sequence(gens, "generators") for gens in _sequence(ideals, "ideals")]
     generators = _check_generators([g for gens in ideals for g in gens])
@@ -390,10 +407,45 @@ def _escape_sets(ideals, e, budgets=None):
         return tuple(out)
 
     def successors(point):
-        return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(t)]
+        return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(len(point))]
+
+    def heights(level, lower):
+        # the column heights of V(p^level) along the last coordinate, by
+        # prefix, from those of the level below, one layer |n'| at a time;
+        # a bound of -1 is an empty column, and empty columns are not kept
+        found = {}
+        layer = {(0,) * (t - 1)}
+        while layer:
+            grown = set()
+            for prefix in layer:
+                up = tuple(-(-n // p) for n in prefix)
+                lo = p * lower[up] if up in lower else -1
+                down = tuple(n // p for n in prefix)
+                hi = min(p * lower.get(down, -1) + p - 1, tops[-1])
+                for i, n in enumerate(prefix):
+                    if n:
+                        q = prefix[:i] + (n - 1,) + prefix[i + 1:]
+                        hi = min(hi, found.get(q, -1) if n <= tops[i] else -1)
+                if lo > hi:
+                    raise FptcertError(
+                        "internal: column bounds crossed at %r" % (prefix,)
+                    )
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    meter.charge_multisets()
+                    if escapes(level, prefix + (mid,)):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                if lo >= 0:
+                    found[prefix] = lo
+                    grown.update(successors(prefix))
+            layer = grown
+        return found
 
     origin = (0,) * t
     below = {origin: (0,) * r}
+    columns = {origin[1:]: 0}
     tops = [0] * r
     for level in range(1, e + 1):
         box = _Box([p**level] * generators[0].varcount, p, p**e)
@@ -414,46 +466,51 @@ def _escape_sets(ideals, e, budgets=None):
         # the image, charged before it is built
         meter.charge_multisets(sum(p ** sum(map(bool, m)) for m in below) - 1)
         members = {}
-        layers = collections.defaultdict(set)
-        for m, vector in below.items():
-            ranges = [range(p * k - p + 1 if k else 0, p * k + 1) for k in m]
-            for point in itertools.product(*ranges):
-                members[point] = lowered(vector, point) if r > t else point
-            # past the top face n_i = p m_i lies the box of m + e_i
-            for i, up in enumerate(successors(m)):
-                if up not in below:
-                    face = ranges[:i] + [(p * m[i] + 1,)] + ranges[i + 1:]
-                    for point in itertools.product(*face):
-                        layers[sum(point)].add(point)
-        # the shell, one layer |n| = depth at a time, all outside the image
-        depth = min(layers)
-        while layers:
-            for point in layers.pop(depth, ()):
-                parents = [
-                    (i, point[:i] + (point[i] - 1,) + point[i + 1:])
-                    for i in range(t)
-                    if point[i]
-                ]
-                # with one generator per ideal (r == t) a point's only
-                # vector is the point, so the grown vector is the whole search
-                grown, parent = next((i, q) for i, q in parents if q in members)
-                witness = members[parent]
-                for j in range(offsets[grown], offsets[grown + 1]):
-                    vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
-                    meter.charge_multisets()
-                    if escapes(level, vector):
-                        break
-                else:
-                    vector = walk(level, point) if r > t else None
-                    if vector is None:
-                        continue
-                if any(q not in members for _, q in parents):
-                    raise FptcertError(
-                        "internal: escape set not downward closed at %r" % (point,)
-                    )
-                members[point] = vector
-                layers[depth + 1].update(successors(point))
-            depth += 1
+        if r == t:
+            columns = heights(level, columns)
+            for prefix, height in columns.items():
+                for k in range(height + 1):
+                    point = prefix + (k,)
+                    members[point] = point
+        else:
+            layers = collections.defaultdict(set)
+            for m, vector in below.items():
+                ranges = [range(p * k - p + 1 if k else 0, p * k + 1) for k in m]
+                for point in itertools.product(*ranges):
+                    members[point] = lowered(vector, point)
+                # past the top face n_i = p m_i lies the box of m + e_i
+                for i, up in enumerate(successors(m)):
+                    if up not in below:
+                        face = ranges[:i] + [(p * m[i] + 1,)] + ranges[i + 1:]
+                        for point in itertools.product(*face):
+                            layers[sum(point)].add(point)
+            # the shell, one layer |n| = depth at a time, all outside the image
+            depth = min(layers)
+            while layers:
+                for point in layers.pop(depth, ()):
+                    parents = [
+                        (i, point[:i] + (point[i] - 1,) + point[i + 1:])
+                        for i in range(t)
+                        if point[i]
+                    ]
+                    grown, parent = next((i, q) for i, q in parents if q in members)
+                    witness = members[parent]
+                    for j in range(offsets[grown], offsets[grown + 1]):
+                        vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+                        meter.charge_multisets()
+                        if escapes(level, vector):
+                            break
+                    else:
+                        vector = walk(level, point)
+                        if vector is None:
+                            continue
+                    if any(q not in members for _, q in parents):
+                        raise FptcertError(
+                            "internal: escape set not downward closed at %r" % (point,)
+                        )
+                    members[point] = vector
+                    layers[depth + 1].update(successors(point))
+                depth += 1
         yield members
         below = members
 

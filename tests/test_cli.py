@@ -553,8 +553,8 @@ def test_certificate_budgets(tmp_path, capsys, monkeypatch):
 ORACLE_EDGES = [
     (["nu", *PAIR, "--e", "2"], "max_multisets", 9),
     (["nu", *PAIR, "--e", "2"], "max_terms", 2),
-    (["fvol-count", *IDEALS, "--e", "2"], "max_multisets", 23),
-    (["fvol-count", *IDEALS, "--e", "2"], "max_terms", 19),
+    (["fvol-count", *IDEALS, "--e", "2"], "max_multisets", 13),
+    (["fvol-count", *IDEALS, "--e", "2"], "max_terms", 13),
 ]
 
 

@@ -376,6 +376,20 @@ def test_polynomial_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_polynomial_hash_is_computed_once():
+    # memo keys hash their generators on every call; after the first
+    # hash the terms are not read again
+    g = parse("x+2*y")
+    first = hash(g)
+
+    class Unread(dict):
+        def items(self):
+            raise AssertionError("the terms were read again")
+
+    g.terms = Unread(g.terms)
+    assert hash(g) == first
+
+
 def random_box_case(seed):
     """A seeded box over GF(p), p in {2, 3, 5, 7}, and two polynomials
     with terms on both sides of its bounds.  Boxes cycle through equal
