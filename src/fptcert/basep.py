@@ -97,13 +97,14 @@ class DigitStream:
         return list(itertools.islice(expansion, e))  # no copy of a long period
 
     def to_json_dict(self):
-        return {"preperiod": list(self.preperiod), "period": list(self.period)}
+        return {"preperiod": self.preperiod, "period": self.period}  # tuples render as lists
 
 
 @functools.cache
 def _digit_table(p, k):
-    """Block b in 0..p**k - 1 -> its k base-p digits, leading digit first."""
-    return list(itertools.product(range(p), repeat=k))
+    """Block b in 0..p**k - 1 -> its k base-p digits as bytes (k > 1 only
+    when p <= 64), leading digit first."""
+    return list(map(bytes, itertools.product(range(p), repeat=k)))
 
 
 def digits(alpha, p, meter=None):
@@ -137,7 +138,7 @@ def digits(alpha, p, meter=None):
         k, step = k + 1, step * p
     table = _digit_table(p, k) if k > 1 else None
     back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
-    period = []
+    period = bytearray() if k > 1 else []  # a byte per digit until the tuple
     limit = None if meter is None else max(
         (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
     for steps in itertools.count(1) if meter is None else range(1, limit):

@@ -424,7 +424,7 @@ def _render_text(payload):
         if isinstance(value, dict):
             for key, item in value.items():
                 walk("%s.%s" % (prefix, key) if prefix else key, item)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(
                 "%s: %s" % (prefix, json.dumps(value, separators=(",", ":")))
             )
@@ -437,10 +437,14 @@ def _render_text(payload):
     return "\n".join(lines) + "\n"
 
 
-def _dumps_fallback(value, newline="\n"):
+def _dumps_fallback(value, newline="\n", lists=None):
     """json.dumps(value, indent=2), byte for byte: _LEAVES writes a scalar, and a
     list of one scalar type is joined from its item texts; other non-empty
-    containers recurse; floats, empty containers and non-str keys are C-encoded."""
+    containers recurse; floats, empty containers and non-str keys are C-encoded.
+
+    Given a list ``lists``, a list of one scalar type longer than _SLICE is left
+    out: a NUL, which ensure_ascii JSON never holds, marks its place, and
+    (its items, their leaf, its newline) is appended to ``lists`` for _pieces."""
     leaf = _LEAVES.get(type(value))
     if leaf:
         return leaf(value)
@@ -449,12 +453,30 @@ def _dumps_fallback(value, newline="\n"):
     pad = newline + "  "
     if isinstance(value, dict):
         items = ((encode_basestring_ascii(k) if type(k) is str else _encode({k: 0})[1:-4])
-                 + ": " + _dumps_fallback(v, pad) for k, v in value.items())
+                 + ": " + _dumps_fallback(v, pad, lists) for k, v in value.items())
         return "{%s%s%s}" % (pad, ("," + pad).join(items), newline)
     types = set(map(type, value))
     leaf = len(types) == 1 and _LEAVES.get(types.pop())
-    items = map(leaf, value) if leaf else (_dumps_fallback(v, pad) for v in value)
+    if leaf and lists is not None and len(value) > _SLICE:
+        lists.append((value, leaf, newline))
+        return "\0"
+    items = map(leaf, value) if leaf else (_dumps_fallback(v, pad, lists) for v in value)
     return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
+
+
+def _pieces(value):
+    """json.dumps(value, indent=2) and a newline, in pieces: the text of
+    _dumps_fallback around each long list it leaves out, and the list's items
+    _SLICE at a time, so no text of the whole list is ever built."""
+    lists = []
+    head, *tails = _dumps_fallback(value, lists=lists).split("\0")
+    for (items, leaf, newline), tail in zip(lists, tails):
+        sep = "," + newline + "  "
+        yield head + "[" + newline + "  " + sep.join(map(leaf, items[:_SLICE]))
+        for start in range(_SLICE, len(items), _SLICE):
+            yield sep + sep.join(map(leaf, items[start:start + _SLICE]))
+        head = newline + "]" + tail
+    yield head + "\n"
 
 
 class _IntTexts(dict):
@@ -472,9 +494,11 @@ _INT_TEXT = _IntTexts()
 _LEAVES = {str: encode_basestring_ascii, int: _INT_TEXT.__getitem__,
            bool: {False: "false", True: "true"}.get, type(None): {None: "null"}.get}
 _encode = json.JSONEncoder().encode
+_SLICE = 4096  # items of a long scalar list written at a time
+# _dumps(payload): the pieces of its JSON text and a newline, written in turn.
 # json.dumps indents in C since 3.13: drop the fallback at requires-python >= 3.13
-_dumps = (_dumps_fallback if sys.version_info < (3, 13)
-          else functools.partial(json.dumps, indent=2))
+_dumps = (_pieces if sys.version_info < (3, 13)
+          else lambda value: (json.dumps(value, indent=2) + "\n",))
 
 
 def _parse_args(argv):
@@ -528,7 +552,7 @@ def _run(argv):
     if out_format == "text":
         sys.stdout.write(_render_text(payload))
     else:
-        sys.stdout.write(_dumps(payload) + "\n")
+        sys.stdout.writelines(_dumps(payload))
     return 0
 
 
@@ -537,7 +561,7 @@ def main(argv=None):
         return _run(argv)
     except FptcertError as exc:
         payload = {"error": {"kind": exc.kind, "message": str(exc)}}
-        sys.stdout.write(_dumps(payload) + "\n")
+        sys.stdout.writelines(_dumps(payload))
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code
 

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -259,11 +260,33 @@ def witness_floor(certificate, scan_level):
     )
 
 
+class _Columns(Mapping):
+    """A level of principal ideals held as its column heights {n': h}: the
+    points n' + (k,), 0 <= k <= h, column by column, each its own vector."""
+
+    def __init__(self, heights):
+        self._heights = heights
+
+    def __getitem__(self, point):
+        if type(point) is tuple and point:
+            if 0 <= point[-1] <= self._heights.get(point[:-1], -1):
+                return point
+        raise KeyError(point)
+
+    def __iter__(self):
+        for prefix, height in self._heights.items():
+            for k in range(height + 1):
+                yield prefix + (k,)
+
+    def __len__(self):
+        return sum(self._heights.values()) + len(self._heights)
+
+
 def _escape_sets(ideals, e, budgets=None):
     """Yield the escape sets V(p), ..., V(p^e) of a tuple of ideals
     a_1, ..., a_t over GF(p), level by level: V(q) holds the tuples
     (n_1, ..., n_t) with a_1**n_1 ... a_t**n_t not inside
-    (x_1**q, ..., x_m**q).  Each level is a dict from a member to an
+    (x_1**q, ..., x_m**q).  Each level is a mapping from a member to an
     escaping generator exponent vector, whose entries over the
     generators of a_i (listed last to first) sum to n_i.
 
@@ -285,7 +308,9 @@ def _escape_sets(ideals, e, budgets=None):
     closure; and at most the last generator's top.  A prefix past some
     generator's top, or whose floor(n' / p) has no column one level down,
     has no members.  Between these bounds the height is bisected, one
-    product and one multiset per probe.
+    product and one multiset per probe.  Only the heights are kept: the
+    level is a read-only view of them (``_Columns``), and the image is
+    charged per column of the level below, p**|supp n'| (1 + h p) points.
 
     Otherwise the image is built a box per m.  The shell, the other
     members and the non-members next to them, is searched by |n|,
@@ -463,16 +488,17 @@ def _escape_sets(ideals, e, budgets=None):
             room[j] = tops[j]
             if j + 1 < offsets[owner[j] + 1]:
                 room[j] += room[j + 1]
-        # the image, charged before it is built
-        meter.charge_multisets(sum(p ** sum(map(bool, m)) for m in below) - 1)
-        members = {}
+        # the image, charged before it is built; a column's points (n', k),
+        # k = 0..h, have supports |supp n'| + [k > 0]
         if r == t:
+            meter.charge_multisets(
+                sum(p ** sum(map(bool, n)) * (1 + h * p) for n, h in columns.items()) - 1
+            )
             columns = heights(level, columns)
-            for prefix, height in columns.items():
-                for k in range(height + 1):
-                    point = prefix + (k,)
-                    members[point] = point
+            members = _Columns(columns)
         else:
+            meter.charge_multisets(sum(p ** sum(map(bool, m)) for m in below) - 1)
+            members = {}
             layers = collections.defaultdict(set)
             for m, vector in below.items():
                 ranges = [range(p * k - p + 1 if k else 0, p * k + 1) for k in m]

@@ -17,6 +17,7 @@ import functools
 import itertools
 import random
 import sys
+import tracemalloc
 
 from fptcert import thresholds
 from fptcert.basep import _check_int
@@ -293,4 +294,10 @@ def test_fvolume_count_of_two_cusps_at_depth():
     ideals = [
         [reduce_mod_p(parse_polynomial(text, xyz), 2)] for text in ("x^2+y^3", "y^2+z^3")
     ]
-    assert fvolume_count(ideals, 9) == 65536
+    tracemalloc.start()
+    try:
+        assert fvolume_count(ideals, 9) == 65536
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20  # the column heights, not the 65,536 members

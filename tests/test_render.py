@@ -2,6 +2,8 @@
 json.dumps(value, indent=2), on every Python (it is called directly,
 even where the CLI uses json.dumps itself)."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -75,6 +77,77 @@ def test_render_memory():
         tracemalloc.stop()
     assert text == json.dumps(payload, indent=2)
     assert peak <= 12 * 2**20
+
+
+LONG = [
+    list(range(4095)),
+    list(range(4096)),
+    list(range(4097)),
+    [n * 10**20 for n in range(8193)],
+    [True, False, False] * 3000,
+    [1, True] * 3000,  # two scalar types: built whole
+    {"a": [7] * 5000, "b": {"c": ["x", "\x00"] * 2500}, "d": 1},
+    [[0] * 4097, [[None] * 9000, []], [1.5] * 5000, (2,) * 4097],
+]
+
+
+@pytest.mark.parametrize("value", VALUES + LONG, ids=range(len(VALUES + LONG)))
+def test_pieces_join_to_json_dumps(value):
+    pieces = list(cli._pieces(value))
+    assert "".join(pieces) == json.dumps(value, indent=2) + "\n"
+    assert all("\x00" not in piece for piece in pieces)
+
+
+@pytest.mark.parametrize("value, count", [
+    ([0] * 4096, 1),  # not longer than a slice: one write
+    ([0] * 4097, 3),  # the text before and a slice, a slice, the text after
+    ([0] * 8193, 4),
+    ({"a": [0] * 5000, "b": (1,) * 9000}, 6),  # 2 + 3 slices, one piece after
+    ([1, True] * 3000, 1),  # two scalar types: built whole
+])
+def test_long_lists_go_out_a_slice_at_a_time(value, count):
+    assert len(list(cli._pieces(value))) == count
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_digits_command_memory():
+    # 333,334 period digits: the tuple of the walk, rendered a slice at a time
+    argv = ["digits", "--alpha", "1/1000003", "--p", "3"]
+    with contextlib.redirect_stdout(_Discard()):
+        cli.main(["digits", "--alpha", "1/7", "--p", "3"])  # the parser, built once
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 5 * 2**20
+
+
+def test_digits_text_format(capsys, monkeypatch):
+    for name in ("FPTCERT_MAX_TERMS", "FPTCERT_MAX_DIMENSION"):  # echoed at their defaults
+        monkeypatch.delenv(name, raising=False)
+    argv = ["digits", "--alpha", "7/45", "--p", "3", "--count", "9", "--format", "text"]
+    assert cli.main(argv + ["--max-multisets", "50"]) == 0
+    assert capsys.readouterr().out == (
+        "command: digits\n"
+        "input.alpha: 7/45\n"
+        "input.p: 3\n"
+        "input.count: 9\n"
+        "input.budgets.max_multisets: 50\n"
+        "input.budgets.max_terms: 10000000\n"
+        "input.budgets.max_dimension: 12\n"
+        "result.alpha: 7/45\n"
+        "result.p: 3\n"
+        "result.preperiod: [0,1]\n"
+        "result.period: [1,0,1,2]\n"
+        "result.prefix: [0,1,1,0,1,2,1,0,1]\n"
+        "version: 0.1.0\n"
+    )
 
 
 COMMANDS = [
