@@ -437,14 +437,15 @@ def _render_text(payload):
     return "\n".join(lines) + "\n"
 
 
-def _dumps_fallback(value, newline="\n", lists=None):
-    """json.dumps(value, indent=2), byte for byte: _LEAVES writes a scalar, and a
-    list of one scalar type is joined from its item texts; other non-empty
-    containers recurse; floats, empty containers and non-str keys are C-encoded.
+def _dumps_fallback(value, lists, newline="\n"):
+    """json.dumps(value, indent=2), byte for byte, but for its long lists:
+    _LEAVES writes a scalar, and a list of one scalar type is joined from its
+    item texts; other non-empty containers recurse; floats, empty containers
+    and non-str keys are C-encoded.
 
-    Given a list ``lists``, a list of one scalar type longer than _SLICE is left
-    out: a NUL, which ensure_ascii JSON never holds, marks its place, and
-    (its items, their leaf, its newline) is appended to ``lists`` for _pieces."""
+    A list of one scalar type longer than _SLICE is left out: a NUL, which
+    ensure_ascii JSON never holds, marks its place, and (its items, their
+    leaf, its newline) is appended to ``lists`` for _pieces."""
     leaf = _LEAVES.get(type(value))
     if leaf:
         return leaf(value)
@@ -453,14 +454,14 @@ def _dumps_fallback(value, newline="\n", lists=None):
     pad = newline + "  "
     if isinstance(value, dict):
         items = ((encode_basestring_ascii(k) if type(k) is str else _encode({k: 0})[1:-4])
-                 + ": " + _dumps_fallback(v, pad, lists) for k, v in value.items())
+                 + ": " + _dumps_fallback(v, lists, pad) for k, v in value.items())
         return "{%s%s%s}" % (pad, ("," + pad).join(items), newline)
     types = set(map(type, value))
     leaf = len(types) == 1 and _LEAVES.get(types.pop())
-    if leaf and lists is not None and len(value) > _SLICE:
+    if leaf and len(value) > _SLICE:
         lists.append((value, leaf, newline))
         return "\0"
-    items = map(leaf, value) if leaf else (_dumps_fallback(v, pad, lists) for v in value)
+    items = map(leaf, value) if leaf else (_dumps_fallback(v, lists, pad) for v in value)
     return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
 
 
@@ -469,7 +470,7 @@ def _pieces(value):
     _dumps_fallback around each long list it leaves out, and the list's items
     _SLICE at a time, so no text of the whole list is ever built."""
     lists = []
-    head, *tails = _dumps_fallback(value, lists=lists).split("\0")
+    head, *tails = _dumps_fallback(value, lists).split("\0")
     for (items, leaf, newline), tail in zip(lists, tails):
         sep = "," + newline + "  "
         yield head + "[" + newline + "  " + sep.join(map(leaf, items[:_SLICE]))

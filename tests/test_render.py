@@ -1,10 +1,11 @@
-"""The JSON renderer: the pre-3.13 fallback writes exactly the bytes of
-json.dumps(value, indent=2), on every Python (it is called directly,
-even where the CLI uses json.dumps itself)."""
+"""The JSON renderer: the pieces of the pre-3.13 renderer join to exactly
+the bytes of json.dumps(value, indent=2) and a newline, on every Python (it
+is called directly, even where the CLI uses json.dumps itself)."""
 
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -58,27 +59,6 @@ VALUES = [
 ]
 
 
-@pytest.mark.parametrize("value", VALUES, ids=range(len(VALUES)))
-def test_fallback_matches_json_dumps(value):
-    # twice: the second rendering reads the texts the first one cached
-    assert cli._dumps_fallback(value) == json.dumps(value, indent=2)
-    assert cli._dumps_fallback(value) == json.dumps(value, indent=2)
-
-
-def test_render_memory():
-    # the result of digits --alpha 1/1000003 --p 3: 333,334 period digits
-    stream = digits(Fraction(1, 1000003), 3)
-    payload = {"result": {**stream.to_json_dict(), "prefix": stream.digits_prefix(12)}}
-    tracemalloc.start()
-    try:
-        text = cli._dumps_fallback(payload)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert text == json.dumps(payload, indent=2)
-    assert peak <= 12 * 2**20
-
-
 LONG = [
     list(range(4095)),
     list(range(4096)),
@@ -92,10 +72,27 @@ LONG = [
 
 
 @pytest.mark.parametrize("value", VALUES + LONG, ids=range(len(VALUES + LONG)))
-def test_pieces_join_to_json_dumps(value):
-    pieces = list(cli._pieces(value))
-    assert "".join(pieces) == json.dumps(value, indent=2) + "\n"
-    assert all("\x00" not in piece for piece in pieces)
+def test_fallback_matches_json_dumps(value):
+    # twice: the second rendering reads the texts the first one cached
+    for _ in range(2):
+        pieces = list(cli._pieces(value))
+        assert "".join(pieces) == json.dumps(value, indent=2) + "\n"
+    assert not any("\x00" in piece for piece in pieces)
+
+
+def test_render_memory():
+    # the result of digits --alpha 1/1000003 --p 3: 333,334 period digits
+    stream = digits(Fraction(1, 1000003), 3)
+    payload = {"result": {**stream.to_json_dict(), "prefix": stream.digits_prefix(12)}}
+    tracemalloc.start()
+    try:
+        for _ in cli._pieces(payload):  # each piece dropped, as once written
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "".join(cli._pieces(payload)) == json.dumps(payload, indent=2) + "\n"
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("value, count", [
@@ -114,6 +111,8 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="3.13+ renders with one json.dumps call, the whole text")
 def test_digits_command_memory():
     # 333,334 period digits: the tuple of the walk, rendered a slice at a time
     argv = ["digits", "--alpha", "1/1000003", "--p", "3"]
@@ -183,7 +182,7 @@ def test_every_command_payload(capsys, monkeypatch):
     assert sorted({p["command"] for p in payloads if "command" in p}) == sorted(cli._COMMANDS)
     assert payloads[-1]["error"]["kind"] == "BudgetExceeded"
     for payload in payloads:
-        assert cli._dumps_fallback(payload) == json.dumps(payload, indent=2)
+        assert "".join(cli._pieces(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_cli_writes_json_dumps_bytes(capsys):
