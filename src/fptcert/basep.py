@@ -102,8 +102,8 @@ class DigitStream:
 
 @functools.cache
 def _digit_table(p, k):
-    """Block b in 0..p**k - 1 -> its k base-p digits as bytes (k > 1 only
-    when p <= 64), leading digit first."""
+    """Block b in 0..p**k - 1 -> its k base-p digits as bytes (p <= 256,
+    and k > 1 only when p <= 64), leading digit first."""
     return list(map(bytes, itertools.product(range(p), repeat=k)))
 
 
@@ -136,15 +136,15 @@ def digits(alpha, p, meter=None):
     k, step = 1, p
     while step * p <= min(rest, 4096):
         k, step = k + 1, step * p
-    table = _digit_table(p, k) if k > 1 else None
+    table = _digit_table(p, k) if p <= 256 else None
     back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
-    period = bytearray() if k > 1 else []  # a byte per digit until the tuple
+    period = bytearray() if table else []  # a byte per digit until the tuple
     limit = None if meter is None else max(
         (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
     for steps in itertools.count(1) if meter is None else range(1, limit):
         x = step * r - 1  # d = ceil(step r / rest) - 1 = x // rest, next state x % rest + 1
         d = x // rest
-        block = table[d] if k > 1 else (d,)
+        block = table[d] if table else (d,)
         if r in back:
             period += block[: back[r]]
             break

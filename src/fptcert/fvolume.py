@@ -59,17 +59,16 @@ def fvolume_lower_bound(generators, p, meter=None):
 def fvolume_points(ideals, e, budgets=None):
     """The escape set V(p^e) itself, sorted: all (n_1, ..., n_t) with
     a_1**n_1 ... a_t**n_t not inside the e-th Frobenius power of the
-    maximal ideal.  Read off the last level of the climb shared with nu
-    (thresholds._escape_sets): each level's image is downward closed by
-    construction, and the climb checks that the shell, or for principal
-    ideals the column heights, keep it so.
+    maximal ideal.  Read off the column heights of the last level of the
+    climb shared with nu (thresholds._escape_sets), each bounded by its
+    neighbours, so every level is downward closed.
     """
     return sorted(_escape_set(ideals, e, budgets))
 
 
 def fvolume_count(ideals, e, budgets=None):
     """Card V(p^e), the size of the set fvolume_points sorts."""
-    return len(_escape_set(ideals, e, budgets))
+    return _escape_set(ideals, e, budgets).size
 
 
 def volume_witness_floor(certificate, scan_level):

@@ -261,25 +261,30 @@ def witness_floor(certificate, scan_level):
 
 
 class _Columns(Mapping):
-    """A level of principal ideals held as its column heights {n': h}: the
-    points n' + (k,), 0 <= k <= h, column by column, each its own vector."""
+    """A level held as its column heights {n': h}: the points n' + (k,),
+    0 <= k <= h, column by column.  A point maps to its escaping vector,
+    kept in ``vectors`` when some ideal has two or more generators and
+    otherwise the point itself.  ``size`` counts the points; len() is it
+    while it fits an index."""
 
-    def __init__(self, heights):
-        self._heights = heights
+    def __init__(self, heights, vectors=None):
+        self.heights = heights
+        self.vectors = vectors
+        self.size = sum(heights.values()) + len(heights)
 
     def __getitem__(self, point):
         if type(point) is tuple and point:
-            if 0 <= point[-1] <= self._heights.get(point[:-1], -1):
-                return point
+            if 0 <= point[-1] <= self.heights.get(point[:-1], -1):
+                return point if self.vectors is None else self.vectors[point]
         raise KeyError(point)
 
     def __iter__(self):
-        for prefix, height in self._heights.items():
+        for prefix, height in self.heights.items():
             for k in range(height + 1):
                 yield prefix + (k,)
 
     def __len__(self):
-        return sum(self._heights.values()) + len(self._heights)
+        return self.size
 
 
 def _escape_sets(ideals, e, budgets=None):
@@ -290,43 +295,44 @@ def _escape_sets(ideals, e, budgets=None):
     escaping generator exponent vector, whose entries over the
     generators of a_i (listed last to first) sum to n_i.
 
-    A level's image, the n with m = ceil(n / p) a member one level down
-    (V(1) is the origin), lies inside it: the p-th power of an escaping
-    product escapes one level up, and so does each product dividing it, so p
-    times the vector of m, lowered to the sums n_i, escapes.  It is charged,
-    a multiset per point but the origin, before the level is built.  Each
-    generator's top, the largest k with g**k nonempty in the box, is at
-    least p times its top one level down.
+    A level is read off its column heights h(n') = max{n_t : (n', n_t)
+    in V(q)}, one per prefix n' of the other t - 1 entries, visited by
+    |n'|, and yielded as a view of them (``_Columns``).  A level's image,
+    the n with m = ceil(n / p) a member one level down (V(1) is the
+    origin), lies inside it: the p-th power of an escaping product
+    escapes one level up, and so does each product dividing it, so p
+    times the vector of m, lowered to the sums n_i, escapes.  So h(n') is
+    at least p h'(ceil(n' / p)), h' the heights one level down.  The
+    image is charged before the level is built, a multiset per point but
+    the origin, per column of the level below: p**|supp n'| (1 + h p).
 
-    Where every ideal is principal a point is its own vector, and a level
-    is read off its column heights h(n') = max{n_t : (n', n_t) in V(q)},
-    one per prefix n' of the other t - 1 entries, visited by |n'|.  The
-    image puts h(n') at least p h'(ceil(n' / p)), h' the heights one
-    level down.  It is at most p h'(floor(n' / p)) + p - 1, since a
-    product outside the Frobenius power at q has its floor(n / p)-th
-    power outside it at q / p; at most each h(n' - e_i), by downward
-    closure; and at most the last generator's top.  A prefix past some
-    generator's top, or whose floor(n' / p) has no column one level down,
-    has no members.  Between these bounds the height is bisected, one
-    product and one multiset per probe.  Only the heights are kept: the
-    level is a read-only view of them (``_Columns``), and the image is
-    charged per column of the level below, p**|supp n'| (1 + h p) points.
+    The height is at most each h(n' - e_i), by downward closure, and at
+    most the room of a_t, the sum of its generators' tops: the largest k
+    with g**k nonempty in the box, at least p times its top one level
+    down.  A prefix past the room of its ideal has no members.  With
+    c_i generators, a_i**n lies in (a_i**d)^[p] for
+    d = max(0, ceil((n - c_i (p - 1)) / p)), as the exponents k of each
+    product of n generators have quotients k div p summing to at least
+    d.  So a product outside the Frobenius power at q puts d, taken
+    entry by entry, inside V(q / p): the height is at most
+    p h'(d') + c_t (p - 1), and the column is empty when d' has no
+    column one level down.  Bounds that cross are an internal error;
+    between them every member has its parents in the level, so every
+    level is downward closed.
 
-    Otherwise the image is built a box per m.  The shell, the other
-    members and the non-members next to them, is searched by |n|,
-    parents first, from the frontier: the points past a top face
-    n_i = p m_i of a box whose m + e_i is no member one level down.  At
-    each point the vector of the first member parent, grown by one in
-    each generator slot of the ideal that grew, is tried first, one
-    multiset each.  If none escapes, all vectors are walked depth first,
-    ideal by ideal and each ideal's generators last to first.  Vectors
-    sharing a prefix share its product, and a prefix whose product is
-    empty ends its loop, since a larger last exponent leaves it empty.
-    No exponent is tried that leaves more to place in its ideal than the
-    later slots can take, each at most its top.  Each full vector tried
-    and each prefix cut off costs one multiset.  The vectors only order
-    the search: a member not read off the level below is confirmed by a
-    product.
+    Where every ideal is principal a point is its own vector, and the
+    height is bisected between the bounds, one product and one multiset
+    per probe.  Otherwise the column keeps its image points, each with
+    the lowered vector, then climbs a point at a time up to the ceiling
+    until a point does not escape.  At each point the vector of the first
+    parent, grown by one in each generator slot of the ideal that grew,
+    is tried first, one multiset each.  If none escapes, all vectors are
+    walked depth first, ideal by ideal and each ideal's generators last
+    to first.  Vectors sharing a prefix share its product, and a prefix
+    whose product is empty ends its loop, since a larger last exponent
+    leaves it empty.  No exponent is tried that leaves more to place in
+    its ideal than the later slots can take, each at most its top.  Each
+    full vector tried and each prefix cut off costs one multiset.
 
     Powers and products are truncated to the box below (q, ..., q)
     (``polyring._Box``): a term with some exponent >= q lies in the
@@ -335,9 +341,7 @@ def _escape_sets(ideals, e, budgets=None):
     trunc_l(g**k) = Frob(trunc_(l-1)(g**(k div p))) trunc_l(g**(k mod p)),
     where Frob multiplies each exponent by p and keeps each coefficient
     (c**p = c); all levels pack a monomial alike, so Frob multiplies the
-    packed keys by p.  Every level is downward closed, as the containment
-    order forces: the image by construction, the shell and the columns as
-    the searches assert.
+    packed keys by p.
     """
     ideals = [_sequence(gens, "generators") for gens in _sequence(ideals, "ideals")]
     generators = _check_generators([g for gens in ideals for g in gens])
@@ -353,7 +357,8 @@ def _escape_sets(ideals, e, budgets=None):
     generators = [g for gens in ideals for g in reversed(gens)]
     p, t, r = ring.p, len(ideals), len(generators)
     meter = Meter(budgets)
-    offsets = list(itertools.accumulate(map(len, ideals), initial=0))
+    sizes = list(map(len, ideals))
+    offsets = list(itertools.accumulate(sizes, initial=0))
     owner = [i for i, gens in enumerate(ideals) for _ in gens]
     one = {0: 1}
     # levels[l]: the metered product of the level-l box, the powers
@@ -434,43 +439,66 @@ def _escape_sets(ideals, e, budgets=None):
     def successors(point):
         return [point[:i] + (point[i] + 1,) + point[i + 1:] for i in range(len(point))]
 
-    def heights(level, lower):
-        # the column heights of V(p^level) along the last coordinate, by
-        # prefix, from those of the level below, one layer |n'| at a time;
-        # a bound of -1 is an empty column, and empty columns are not kept
-        found = {}
+    def escaping(level, point, vectors):
+        # the vector of the first parent grown in the ideal that grew,
+        # else the walk; None if the point does not escape
+        i = next(i for i, n in enumerate(point) if n)
+        witness = vectors[point[:i] + (point[i] - 1,) + point[i + 1:]]
+        for j in range(offsets[i], offsets[i + 1]):
+            vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
+            meter.charge_multisets()
+            if escapes(level, vector):
+                return vector
+        return walk(level, point)
+
+    def columns(level, lower):
+        # V(p^level) from the level below, one layer |n'| at a time; a
+        # bound of -1 is an empty column, and empty columns are not kept
+        below, found = lower.heights, {}
+        vectors = None if r == t else {}
         layer = {(0,) * (t - 1)}
         while layer:
             grown = set()
             for prefix in layer:
                 up = tuple(-(-n // p) for n in prefix)
-                lo = p * lower[up] if up in lower else -1
-                down = tuple(n // p for n in prefix)
-                hi = min(p * lower.get(down, -1) + p - 1, tops[-1])
+                lo = p * below[up] if up in below else -1
+                # d_i = max(0, ceil((n_i - c_i (p - 1)) / p))
+                down = tuple(
+                    max(0, (n - (c - 1) * (p - 1)) // p) for n, c in zip(prefix, sizes)
+                )
+                hi = p * below[down] + sizes[-1] * (p - 1) if down in below else -1
+                hi = min(hi, room[offsets[-2]])
                 for i, n in enumerate(prefix):
                     if n:
                         q = prefix[:i] + (n - 1,) + prefix[i + 1:]
-                        hi = min(hi, found.get(q, -1) if n <= tops[i] else -1)
+                        hi = min(hi, found.get(q, -1) if n <= room[offsets[i]] else -1)
                 if lo > hi:
                     raise FptcertError(
                         "internal: column bounds crossed at %r" % (prefix,)
                     )
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    meter.charge_multisets()
-                    if escapes(level, prefix + (mid,)):
-                        lo = mid
-                    else:
-                        hi = mid - 1
+                if vectors is None:
+                    while lo < hi:
+                        mid = (lo + hi + 1) // 2
+                        meter.charge_multisets()
+                        if escapes(level, prefix + (mid,)):
+                            lo = mid
+                        else:
+                            hi = mid - 1
+                else:
+                    for k in range(lo + 1):
+                        point = prefix + (k,)
+                        vectors[point] = lowered(lower[up + (-(-k // p),)], point)
+                    while lo < hi and (vector := escaping(level, prefix + (lo + 1,), vectors)):
+                        lo += 1
+                        vectors[prefix + (lo,)] = vector
                 if lo >= 0:
                     found[prefix] = lo
                     grown.update(successors(prefix))
             layer = grown
-        return found
+        return _Columns(found, vectors)
 
     origin = (0,) * t
-    below = {origin: (0,) * r}
-    columns = {origin[1:]: 0}
+    members = _Columns({origin[1:]: 0}, {origin: (0,) * r})
     tops = [0] * r
     for level in range(1, e + 1):
         box = _Box([p**level] * generators[0].varcount, p, p**e)
@@ -490,55 +518,11 @@ def _escape_sets(ideals, e, budgets=None):
                 room[j] += room[j + 1]
         # the image, charged before it is built; a column's points (n', k),
         # k = 0..h, have supports |supp n'| + [k > 0]
-        if r == t:
-            meter.charge_multisets(
-                sum(p ** sum(map(bool, n)) * (1 + h * p) for n, h in columns.items()) - 1
-            )
-            columns = heights(level, columns)
-            members = _Columns(columns)
-        else:
-            meter.charge_multisets(sum(p ** sum(map(bool, m)) for m in below) - 1)
-            members = {}
-            layers = collections.defaultdict(set)
-            for m, vector in below.items():
-                ranges = [range(p * k - p + 1 if k else 0, p * k + 1) for k in m]
-                for point in itertools.product(*ranges):
-                    members[point] = lowered(vector, point)
-                # past the top face n_i = p m_i lies the box of m + e_i
-                for i, up in enumerate(successors(m)):
-                    if up not in below:
-                        face = ranges[:i] + [(p * m[i] + 1,)] + ranges[i + 1:]
-                        for point in itertools.product(*face):
-                            layers[sum(point)].add(point)
-            # the shell, one layer |n| = depth at a time, all outside the image
-            depth = min(layers)
-            while layers:
-                for point in layers.pop(depth, ()):
-                    parents = [
-                        (i, point[:i] + (point[i] - 1,) + point[i + 1:])
-                        for i in range(t)
-                        if point[i]
-                    ]
-                    grown, parent = next((i, q) for i, q in parents if q in members)
-                    witness = members[parent]
-                    for j in range(offsets[grown], offsets[grown + 1]):
-                        vector = witness[:j] + (witness[j] + 1,) + witness[j + 1:]
-                        meter.charge_multisets()
-                        if escapes(level, vector):
-                            break
-                    else:
-                        vector = walk(level, point)
-                        if vector is None:
-                            continue
-                    if any(q not in members for _, q in parents):
-                        raise FptcertError(
-                            "internal: escape set not downward closed at %r" % (point,)
-                        )
-                    members[point] = vector
-                    layers[depth + 1].update(successors(point))
-                depth += 1
+        meter.charge_multisets(
+            sum(p ** sum(map(bool, n)) * (1 + h * p) for n, h in members.heights.items()) - 1
+        )
+        members = columns(level, members)
         yield members
-        below = members
 
 
 def _escape_set(ideals, e, budgets=None):
@@ -552,7 +536,7 @@ def nu(generators, e, budgets=None):
     ideal over GF(p).  For one ideal the escape set is {0, ..., nu}, so
     this is Card V(p^e) - 1 (see _escape_sets).
     """
-    return len(_escape_set([generators], e, budgets)) - 1
+    return _escape_set([generators], e, budgets).size - 1
 
 
 def _ladder(ideals, p, e_max, budgets):
@@ -562,7 +546,7 @@ def _ladder(ideals, p, e_max, budgets):
     _check_int(e_max, "e_max")
     fp_ideals = [_to_fp_generators(gens, p) for gens in _sequence(ideals, "ideals")]
     for e, level in enumerate(_escape_sets(fp_ideals, e_max, budgets), 1):
-        yield e, len(level), p ** (e * len(fp_ideals))
+        yield e, level.size, p ** (e * len(fp_ideals))
 
 
 def fpt_estimate(generators, p, e_max, budgets=None):

@@ -4,12 +4,12 @@ Every product inside a Frobenius box is charged len(a) * len(b) term
 operations of its truncated operands before it is formed.  The escape
 search charges one multiset for every point it accepts from the level
 below.  Where every ideal is principal it then charges one for each
-probe of the bisection of a column height; otherwise, for every other
-point, one for each grown vector of a member parent it tries and, in
-the walk after them, one for each exponent vector it tries in full and
-each prefix it cuts off at an empty product.  So a fixed input spends a
-fixed total: a cap equal to that total lets the call finish and a cap
-one below it stops the call.
+probe of the bisection of a column height; otherwise, for every point
+it climbs to above those, one for each grown vector of a parent it
+tries and, in the walk after them, one for each exponent vector it
+tries in full and each prefix it cuts off at an empty product.  So a
+fixed input spends a fixed total: a cap equal to that total lets the
+call finish and a cap one below it stops the call.
 """
 
 from dataclasses import fields
@@ -46,7 +46,7 @@ CALLS = {
 # finish. The exact total is what the call spends now.
 EDGES = [
     ("nu", "max_terms", 38, 2),
-    ("nu", "max_multisets", 9, 9),
+    ("nu", "max_multisets", 9, 3),
     ("fvolume_count", "max_terms", 86, 13),
     ("fvolume_count", "max_multisets", 25, 13),
     ("coefficient_witness", "max_terms", 30, 23),

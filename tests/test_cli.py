@@ -402,6 +402,18 @@ def test_deep_climb_exit_four(capsys):
     assert payload["error"]["kind"] == "BudgetExceeded"
 
 
+def test_count_past_an_index(capsys):
+    # V(2^63) of (x) is {0, ..., 2^63 - 1}: 2^63 points, one more than
+    # len() can return
+    cap = ["--p", "2", "--e", "63", "--max-multisets", str(10**23)]
+    code, payload, _ = run_json(capsys, "nu", "--vars", "x", "--gens", "x", *cap)
+    assert code == 0
+    assert payload["result"]["nu"] == 2**63 - 1
+    code, payload, _ = run_json(capsys, "fvol-count", "--vars", "x", "--ideals", "x", *cap)
+    assert code == 0
+    assert payload["result"]["count"] == 2**63
+
+
 # Exponents 2^127 - 1 and 2^131 - 1: the carry horizon is 16,636, so the
 # certificate's denominators have over 5,000 digits.
 MERSENNE = [
@@ -551,7 +563,7 @@ def test_certificate_budgets(tmp_path, capsys, monkeypatch):
 
 
 ORACLE_EDGES = [
-    (["nu", *PAIR, "--e", "2"], "max_multisets", 9),
+    (["nu", *PAIR, "--e", "2"], "max_multisets", 3),
     (["nu", *PAIR, "--e", "2"], "max_terms", 2),
     (["fvol-count", *IDEALS, "--e", "2"], "max_multisets", 13),
     (["fvol-count", *IDEALS, "--e", "2"], "max_terms", 13),

@@ -165,3 +165,17 @@ def test_walk_memory():
         tracemalloc.stop()
     assert len(stream.period) == 333334
     assert peak <= 10 * 2**20
+
+
+def test_one_digit_step_memory():
+    # p = 101 > 64 walks one digit per step; the period of 1/100019
+    # (101 is a primitive root) still grows a byte per digit: a list of
+    # ints copied into the tuple peaks at 1.5 MiB here
+    tracemalloc.start()
+    try:
+        stream = digits(Fraction(1, 100019), 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream.period) == 100018
+    assert peak <= 2**20

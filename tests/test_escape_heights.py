@@ -1,15 +1,17 @@
-"""The column-height search for principal ideals against the image and
-shell search it replaced for them.
+"""The column-height search against the image and shell search it
+replaced.
 
-Where every ideal is principal, the climb finds each level by bisecting
-the height of each column of V(p^e) along the last coordinate between
-the image of the level below (the floor) and the least of the inclusion
-bound and the heights of the columns next to it (the ceiling).  The
+The climb finds each level from the height of each column of V(p^e)
+along the last coordinate, between the image of the level below (the
+floor) and the least of the inclusion bound and the heights of the
+columns next to it (the ceiling): by bisection where every ideal is
+principal, otherwise by climbing the column a point at a time.  The
 image and shell search is kept below verbatim as the reference.  On
-seeded random principal tuples, under budgets tight enough that the
-reference refuses some of them, every level must hold the same members
-wherever the reference answers, and the new search must answer there
-too, spending no more multisets after any level.
+seeded random tuples, under budgets tight enough that the reference
+refuses some of them, every level must hold the same members with the
+same vectors wherever the reference answers, and the new search must
+answer there too, spending no more multisets after any level, and where
+some ideal has two or more generators no more term operations either.
 """
 
 import collections
@@ -27,7 +29,7 @@ from fptcert.fvolume import fvolume_count
 from fptcert.geometry import _check_generators, _sequence
 from fptcert.polyring import IntegersMod, _Box, parse_polynomial, reduce_mod_p
 from fptcert.thresholds import _escape_sets
-from test_escape_climb import _random_generator
+from test_escape_climb import _random_case, _random_generator
 from test_escape_image import _metered
 
 # --- reference: the image and shell search ----------------------------------
@@ -251,12 +253,12 @@ def _random_principal_case(rng):
 
 
 def _levels(search, ideals, e, meters):
-    """The levels of one search, each with the multisets spent so far,
-    or the error that stopped it."""
+    """The levels of one search, each with the multisets and the term
+    operations spent so far, or the error that stopped it."""
     levels = []
     try:
         for members in search(ideals, e, BUDGETS):
-            levels.append((members, meters[-1].multisets))
+            levels.append((members, meters[-1].multisets, meters[-1].term_ops))
     except FptcertError as exc:
         return type(exc), str(exc)
     return levels
@@ -278,7 +280,7 @@ def test_column_heights_match_the_image_and_shell_search(monkeypatch):
         found = _levels(_escape_sets, ideals, e, new)
         assert isinstance(found, list), (ideals, e, found)
         assert len(found) == e
-        for level, ((members, spent), (reference, reference_spent)) in enumerate(
+        for level, ((members, spent, _), (reference, reference_spent, _)) in enumerate(
             zip(found, expected), 1
         ):
             assert members == reference, (ideals, level)
@@ -287,6 +289,37 @@ def test_column_heights_match_the_image_and_shell_search(monkeypatch):
     assert min(shapes["t = %d" % t] for t in (1, 2, 3)) > 100, shapes
     assert shapes["e = 3"] + shapes["e = 4"] > 50, shapes
     assert 0 < shapes["refused"] <= CASES - 500, shapes
+
+
+IDEAL_CASES = 400
+
+
+def test_column_climb_matches_the_image_and_shell_search_for_ideals(monkeypatch):
+    rng = random.Random(20261021)
+    shapes = collections.Counter()
+    for _ in range(IDEAL_CASES):
+        ideals, e = _random_case(rng)
+        if all(len(gens) == 1 for gens in ideals):
+            continue
+        shapes["t = %d" % len(ideals)] += 1
+        old = _metered(monkeypatch, sys.modules[__name__])
+        new = _metered(monkeypatch, thresholds)
+        expected = _levels(_reference, ideals, e, old)
+        if isinstance(expected, tuple):
+            assert expected[0] is BudgetExceeded, (ideals, e, expected)
+            shapes["refused"] += 1
+            continue
+        found = _levels(_escape_sets, ideals, e, new)
+        assert isinstance(found, list), (ideals, e, found)
+        assert len(found) == e
+        for level, (now, before) in enumerate(zip(found, expected), 1):
+            assert now[0] == before[0], (ideals, level)
+            assert now[1] <= before[1] and now[2] <= before[2], (ideals, level)
+        shapes["fewer multisets"] += found[-1][1] < expected[-1][1]
+        shapes["e > 1"] += e > 1
+    assert min(shapes["t = %d" % t] for t in (1, 2, 3)) > 50, shapes
+    assert shapes["e > 1"] > 100 and shapes["fewer multisets"] > 50, shapes
+    assert 0 < shapes["refused"] <= 50, shapes
 
 
 def test_fvolume_count_of_two_cusps_at_depth():

@@ -1,15 +1,14 @@
-"""The escape search that builds each level's image in bulk against the
+"""The escape search that reads each level off column heights against the
 climb it replaced, which visited every point of each level one at a time.
 
 The earlier climb is kept below verbatim as the reference.  On seeded
 random tuples of ideals over GF(p) every level must hold the same
-members with the same escaping vectors.  Where some ideal has two or
-more generators the meter must show the same multiset and term totals
-after every level, and with either cap one below its total both
-searches must stop with the same error.  Where every ideal is principal
-the levels are found by bisecting column heights instead, which must
-spend no more multisets than the reference after any level; a cap at
-either total lets it finish and a cap one below stops it.
+members with the same escaping vectors.  The column search climbs or
+bisects only inside bounds that the level below and the columns next to
+it set, so it must spend no more multisets than the reference after any
+level, and where some ideal has two or more generators no more term
+operations either.  A cap at either of its totals lets it finish, and a
+cap one below stops it.
 """
 
 import collections
@@ -229,8 +228,8 @@ def _reference(ideals, e, budgets=None):
 # --- differential test --------------------------------------------------------
 
 CASES = 320
-# every CAP_STRIDE-th case also runs both searches with each cap one
-# below its total
+# every CAP_STRIDE-th case also runs the column search with each cap at
+# its total and one below
 CAP_STRIDE = 10
 
 
@@ -271,11 +270,9 @@ def test_image_and_shell_match_the_point_by_point_climb(monkeypatch):
         levels = zip(_reference(ideals, e, budgets), _escape_sets(ideals, e, budgets))
         for level, (expected, members) in enumerate(levels, 1):
             assert members == expected, (ideals, level)
-            if principal:
-                assert new[0].multisets <= old[0].multisets, (ideals, level)
-            else:
-                totals = [(m.multisets, m.term_ops) for m in (old[0], new[0])]
-                assert totals[0] == totals[1], (ideals, level)
+            assert new[0].multisets <= old[0].multisets, (ideals, level)
+            if not principal:
+                assert new[0].term_ops <= old[0].term_ops, (ideals, level)
         assert level == e
         if case % CAP_STRIDE:
             continue
@@ -283,16 +280,10 @@ def test_image_and_shell_match_the_point_by_point_climb(monkeypatch):
             ("max_multisets", new[0].multisets),
             ("max_terms", new[0].term_ops),
         ):
-            capped_budgets = Budgets(**{field: total - 1})
-            outcome = _outcome(_escape_sets, ideals, e, capped_budgets)
-            if principal:
-                answered = _outcome(_escape_sets, ideals, e, Budgets(**{field: total}))
-                assert answered == list(_reference(ideals, e, budgets)), (ideals, field)
-                assert outcome[0] is BudgetExceeded, (ideals, field)
-            else:
-                expected = _outcome(_reference, ideals, e, capped_budgets)
-                assert isinstance(expected, tuple), (ideals, field)
-                assert outcome == expected
+            answered = _outcome(_escape_sets, ideals, e, Budgets(**{field: total}))
+            assert answered == list(_reference(ideals, e, budgets)), (ideals, field)
+            outcome = _outcome(_escape_sets, ideals, e, Budgets(**{field: total - 1}))
+            assert outcome[0] is BudgetExceeded, (ideals, field)
             capped += 1
     assert shapes["r > t"] > 50 and shapes["t = 3"] > 50, shapes
     assert capped == 2 * CASES // CAP_STRIDE
