@@ -12,6 +12,7 @@ environment variables:
 """
 
 import os
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import BudgetExceeded
@@ -45,6 +46,18 @@ class Budgets:
         return cls(**values)
 
 
+def _check_text_digits(*numbers, digits=0):
+    """BudgetExceeded if an int in ``numbers``, or a number of ``digits``
+    digits, is too long for str() to write: over sys.get_int_max_str_digits()
+    digits (0, or no such function, is no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # |n| < 2**(3 limit) < 10**limit needs no power of ten
+    if limit and (digits > limit or any(
+            n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in numbers)):
+        raise BudgetExceeded("a result integer has more than %d digits, the "
+                             "int-to-text limit (PYTHONINTMAXSTRDIGITS)" % limit)
+
+
 class Meter:
     """Running counters charged against a Budgets instance."""
 
@@ -59,11 +72,13 @@ class Meter:
         self.multisets += count
         if self.multisets > cap:
             self.multisets = cap + 1
+            _check_text_digits(cap + 1)
             raise BudgetExceeded("multiset budget exhausted (%d > %d)" % (cap + 1, cap))
 
     def charge_terms(self, n):
         self.term_ops += n
         if self.term_ops > self.budgets.max_terms:
+            _check_text_digits(self.term_ops)
             raise BudgetExceeded(
                 "term-operation budget exhausted (%d > %d)"
                 % (self.term_ops, self.budgets.max_terms)

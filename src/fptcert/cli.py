@@ -26,13 +26,12 @@ from types import SimpleNamespace
 
 from . import __version__
 from .basep import carry_horizon, digits
-from .budgets import Budgets, Meter
+from .budgets import Budgets, Meter, _check_text_digits
 from .errors import BudgetExceeded, FptcertError, InputError
 from .fvolume import fvolume_estimate, fvolume_lower_bound
 from .geometry import exponent_matrix, maximal_point, reduce_generators, vertices
 from .polyring import parse_polynomial
 from .thresholds import (
-    _check_text_digits,
     _json_fields,
     _jsonable,
     _to_fp_generators,
@@ -111,15 +110,13 @@ def _norm_fraction(value, flag, key=None):
         return Fraction(value)
     if isinstance(value, str):
         head, e, tail = value.strip().lower().rpartition("e")
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        # Fraction builds 10**|exponent| first; past limit + len(head) a nonzero
-        # value has a part the input echo refuses, so it is refused here; zero is zero
+        # Fraction builds 10**|exponent| first; past the limit + len(head) digits a
+        # nonzero value has a part the input echo refuses, so it is refused here
         with contextlib.suppress(ValueError):  # Fraction words any other refusal
-            if (limit and e and re.fullmatch(r"[-+]?\d+(_\d+)*", tail)
-                    and abs(int(tail)) > limit + len(head)):
+            if e and re.fullmatch(r"[-+]?\d+(_\d+)*", tail):
                 if not (mantissa := Fraction(head + "e0")):
-                    return mantissa
-                _check_text_digits(10**limit)  # limit + 1 digits: the check words it
+                    return mantissa  # zero is zero, whatever its exponent
+                _check_text_digits(digits=abs(int(tail)) - len(head))
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
@@ -263,7 +260,8 @@ def _command(name, help_text, *flags):
 def _rows_json(p, rows):
     return {
         "p": p,
-        "rows": [[e, n, str(ratio), _decimal6(ratio)] for e, n, ratio in rows],
+        "rows": [[e, _jsonable(n), _jsonable(ratio), _decimal6(ratio)]
+                 for e, n, ratio in rows],
     }
 
 
@@ -324,8 +322,8 @@ def _cmd_nu(inp):
     return {
         "p": inp.p,
         "e": inp.e,
-        "nu": value,
-        "ratio": str(ratio),
+        "nu": _jsonable(value),
+        "ratio": _jsonable(ratio),
     }
 
 
@@ -437,7 +435,7 @@ def _render_text(payload):
     return "\n".join(lines) + "\n"
 
 
-def _dumps_fallback(value, lists, newline="\n"):
+def _json_text(value, lists, newline="\n"):
     """json.dumps(value, indent=2), byte for byte, but for its long lists:
     _LEAVES writes a scalar, and a list of one scalar type is joined from its
     item texts; other non-empty containers recurse; floats, empty containers
@@ -454,23 +452,23 @@ def _dumps_fallback(value, lists, newline="\n"):
     pad = newline + "  "
     if isinstance(value, dict):
         items = ((encode_basestring_ascii(k) if type(k) is str else _encode({k: 0})[1:-4])
-                 + ": " + _dumps_fallback(v, lists, pad) for k, v in value.items())
+                 + ": " + _json_text(v, lists, pad) for k, v in value.items())
         return "{%s%s%s}" % (pad, ("," + pad).join(items), newline)
     types = set(map(type, value))
     leaf = len(types) == 1 and _LEAVES.get(types.pop())
     if leaf and len(value) > _SLICE:
         lists.append((value, leaf, newline))
         return "\0"
-    items = map(leaf, value) if leaf else (_dumps_fallback(v, lists, pad) for v in value)
+    items = map(leaf, value) if leaf else (_json_text(v, lists, pad) for v in value)
     return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
 
 
 def _pieces(value):
     """json.dumps(value, indent=2) and a newline, in pieces: the text of
-    _dumps_fallback around each long list it leaves out, and the list's items
+    _json_text around each long list it leaves out, and the list's items
     _SLICE at a time, so no text of the whole list is ever built."""
     lists = []
-    head, *tails = _dumps_fallback(value, lists).split("\0")
+    head, *tails = _json_text(value, lists).split("\0")
     for (items, leaf, newline), tail in zip(lists, tails):
         sep = "," + newline + "  "
         yield head + "[" + newline + "  " + sep.join(map(leaf, items[:_SLICE]))
@@ -496,10 +494,6 @@ _LEAVES = {str: encode_basestring_ascii, int: _INT_TEXT.__getitem__,
            bool: {False: "false", True: "true"}.get, type(None): {None: "null"}.get}
 _encode = json.JSONEncoder().encode
 _SLICE = 4096  # items of a long scalar list written at a time
-# _dumps(payload): the pieces of its JSON text and a newline, written in turn.
-# json.dumps indents in C since 3.13: drop the fallback at requires-python >= 3.13
-_dumps = (_pieces if sys.version_info < (3, 13)
-          else lambda value: (json.dumps(value, indent=2) + "\n",))
 
 
 def _parse_args(argv):
@@ -553,7 +547,7 @@ def _run(argv):
     if out_format == "text":
         sys.stdout.write(_render_text(payload))
     else:
-        sys.stdout.writelines(_dumps(payload))
+        sys.stdout.writelines(_pieces(payload))
     return 0
 
 
@@ -562,7 +556,7 @@ def main(argv=None):
         return _run(argv)
     except FptcertError as exc:
         payload = {"error": {"kind": exc.kind, "message": str(exc)}}
-        sys.stdout.writelines(_dumps(payload))
+        sys.stdout.writelines(_pieces(payload))
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code
 

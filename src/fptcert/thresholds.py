@@ -13,7 +13,6 @@ import collections
 import functools
 import itertools
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .basep import (
     in_P_rho_inf,
     truncation,
 )
-from .budgets import Meter
+from .budgets import Meter, _check_text_digits
 from .errors import (
     BudgetExceeded,
     FptcertError,
@@ -103,16 +102,6 @@ def _unique_rho(generators, p=None):
             coordinate_ranges=cert.coordinate_ranges,
         )
     return mapping, matrix, cert
-
-
-def _check_text_digits(*numbers):
-    """BudgetExceeded if an int is too long for str() to write: over
-    sys.get_int_max_str_digits() digits (0, or no such function, is no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    for n in numbers:  # |n| < 2**(3 limit) < 10**limit needs no power of ten
-        if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
-            raise BudgetExceeded("a result integer has more than %d digits, the "
-                                 "int-to-text limit (PYTHONINTMAXSTRDIGITS)" % limit)
 
 
 def _jsonable(value):

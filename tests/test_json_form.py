@@ -14,6 +14,7 @@ import pytest
 
 from fptcert.basep import INFINITY, CarryHorizon
 from fptcert.budgets import Budgets, Meter
+from fptcert.cli import main
 from fptcert.errors import BudgetExceeded, FptcertError
 from fptcert.fvolume import fvolume_estimate, fvolume_lower_bound
 from fptcert.polyring import QQ, Polynomial
@@ -227,3 +228,47 @@ def test_jsonable_text_limit_edge(text_limit):
                 _jsonable(value)
     for small in (True, False, 0, -7, 2**1920 - 1):
         assert _jsonable(small) is small
+
+
+# x^(10^100) at p = 2 and e = 2200: nu and its ratio have about 560 and 660
+# digits.  A cap of 640 nines fits the least limit, and cap + 1 does not.
+BIG = "x^1" + "0" * 100
+CAP = ["--max-multisets", "1" + "0" * 639]
+NINES = ["--max-multisets", "9" * 640]
+
+
+@pytest.mark.parametrize("text_limit", [640], indirect=True)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nu", "--vars", "x", "--gens", BIG, "--p", "2", "--e", "2200", *CAP],
+        ["fpt-estimate", "--vars", "x", "--gens", BIG, "--p", "2", "--e-max", "2200", *CAP],
+        ["fvol-estimate", "--vars", "x", "--ideals", BIG, "--p", "2", "--e-max", "2200", *CAP],
+        ["nu", "--vars", "x", "--gens", "x", "--p", "2", "--e", "3000", *NINES],
+        ["fvol-count", "--vars", "x", "--ideals", "x", "--p", "2", "--e", "3000", *NINES],
+    ],
+    ids=["nu-ratio", "fpt-estimate-ratio", "fvol-estimate-ratio", "nu-cap", "fvol-count-cap"],
+)
+def test_oracle_text_limit_exit_four(capsys, text_limit, argv):
+    """An oracle ratio or count, or a refused cap + 1, past the limit is
+    refused with exit 4 and the int-to-text message, not a ValueError."""
+    assert main(argv) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "BudgetExceeded"
+    assert "more than 640 digits" in error["message"]
+
+
+@pytest.mark.parametrize("text_limit", [640], indirect=True)
+def test_meter_refusal_past_text_limit(text_limit):
+    """A cap whose refusal would print a number past the limit is refused
+    with the int-to-text message; a cap below it keeps its own."""
+    cap = 10**640 - 1
+    meter = Meter(Budgets(max_multisets=cap, max_terms=cap))
+    for charge in (meter.charge_multisets, meter.charge_terms):
+        with pytest.raises(BudgetExceeded, match="more than 640 digits"):
+            charge(cap + 1)
+    meter = Meter(Budgets(max_multisets=cap - 1, max_terms=cap - 1))
+    with pytest.raises(BudgetExceeded, match=r"^multiset budget exhausted \(9+ > 9+8\)$"):
+        meter.charge_multisets(cap)
+    with pytest.raises(BudgetExceeded, match=r"^term-operation budget exhausted \(9+ > 9+8\)$"):
+        meter.charge_terms(cap)

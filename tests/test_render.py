@@ -1,11 +1,9 @@
-"""The JSON renderer: the pieces of the pre-3.13 renderer join to exactly
-the bytes of json.dumps(value, indent=2) and a newline, on every Python (it
-is called directly, even where the CLI uses json.dumps itself)."""
+"""The JSON renderer: the pieces of the CLI's renderer join to exactly
+the bytes of json.dumps(value, indent=2) and a newline, on every Python."""
 
 import contextlib
 import io
 import json
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -111,8 +109,6 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 13),
-                    reason="3.13+ renders with one json.dumps call, the whole text")
 def test_digits_command_memory():
     # 333,334 period digits: the tuple of the walk, rendered a slice at a time
     argv = ["digits", "--alpha", "1/1000003", "--p", "3"]
@@ -170,19 +166,20 @@ def test_every_command_payload(capsys, monkeypatch):
     """The payload objects the CLI renders, tuples and all, caught on
     their way to the renderer."""
     payloads = []
+    pieces = cli._pieces
 
     def record(payload):
         payloads.append(payload)
-        return json.dumps(payload, indent=2)
+        return pieces(payload)
 
-    monkeypatch.setattr(cli, "_dumps", record)
+    monkeypatch.setattr(cli, "_pieces", record)
     for argv in COMMANDS:
         cli.main(argv)
     capsys.readouterr()
     assert sorted({p["command"] for p in payloads if "command" in p}) == sorted(cli._COMMANDS)
     assert payloads[-1]["error"]["kind"] == "BudgetExceeded"
     for payload in payloads:
-        assert "".join(cli._pieces(payload)) == json.dumps(payload, indent=2) + "\n"
+        assert "".join(pieces(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_cli_writes_json_dumps_bytes(capsys):
