@@ -115,6 +115,13 @@ def digits(alpha, p, meter=None):
     period digit walked costs one multiset on ``meter``, if given, in one
     charge when the walk ends or at the step that would pass the cap.
     """
+    preperiod, period = _walk(alpha, p, meter)
+    return DigitStream(p, preperiod, tuple(period), _as_fraction(alpha))
+
+
+def _walk(alpha, p, meter=None):
+    """(preperiod, period) of ``digits``: the preperiod a tuple, the
+    period the bytes it was walked in when p <= 256, else a list."""
     _check_base(p)
     alpha = _as_fraction(alpha)
     if not (0 < alpha <= 1):
@@ -138,7 +145,7 @@ def digits(alpha, p, meter=None):
         k, step = k + 1, step * p
     table = _digit_table(p, k) if p <= 256 else None
     back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
-    period = bytearray() if table else []  # a byte per digit until the tuple
+    period = bytearray() if table else []  # a byte per digit
     limit = None if meter is None else max(
         (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
     for steps in itertools.count(1) if meter is None else range(1, limit):
@@ -154,7 +161,7 @@ def digits(alpha, p, meter=None):
         meter.charge_multisets(k * limit)  # step limit passes the cap: it raises
     if meter is not None:
         meter.charge_multisets(k * steps)
-    return DigitStream(p, tuple(sequence), tuple(period), alpha)
+    return tuple(sequence), bytes(period) if table else period
 
 
 def digit_at(alpha, p, k):
@@ -218,19 +225,21 @@ def carry_horizon(block, p, meter=None):
         if not (0 <= alpha <= 1):
             raise InputError("entries must lie in [0, 1], got %s" % alpha)
         if alpha > 0:
-            streams.append(digits(alpha, p))
+            streams.append(_walk(alpha, p))
     if not streams:
         return CarryHorizon(INFINITY)
-    start = max(len(s.preperiod) for s in streams)
-    for k in range(1, start + 1):
-        if sum(s.digit(k) for s in streams) > p - 1:
-            return CarryHorizon(k - 1)
+    start = max(len(preperiod) for preperiod, _ in streams)
+    heads = [itertools.islice(itertools.chain(preperiod, itertools.cycle(period)), start)
+             for preperiod, period in streams]
+    for k, column in enumerate(zip(*heads)):
+        if sum(column) > p - 1:
+            return CarryHorizon(k)
     # past the preperiods, row i holds the digit of stream i at level
-    # start + 1 + j at index j mod its period length
+    # start + 1 + j at index j mod its period length (bytes when p <= 256)
     rows = []
-    for s in streams:
-        shift = (start - len(s.preperiod)) % len(s.period)
-        rows.append(s.period[shift:] + s.period[:shift])
+    for preperiod, period in streams:
+        shift = (start - len(preperiod)) % len(period)
+        rows.append(period[shift:] + period[:shift])
     meter = meter if meter is not None else Meter()
     return CarryHorizon(start + _first_carry(rows, p, meter))
 

@@ -21,11 +21,12 @@ import sys
 from collections import namedtuple
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
-from .basep import carry_horizon, digits
+from .basep import _walk, carry_horizon
 from .budgets import Budgets, Meter, _check_text_digits
 from .errors import BudgetExceeded, FptcertError, InputError
 from .fvolume import fvolume_estimate, fvolume_lower_bound
@@ -290,14 +291,16 @@ def _cmd_polytope(inp):
 
 @_command("digits", "nonterminating base-p digits of a rational", "alpha", "p", "count")
 def _cmd_digits(inp):
-    stream = digits(inp.alpha, inp.p, Meter(inp.budgets))  # the walk's own meter
+    # the period as walked (bytes when p <= 256), on the walk's own meter
+    preperiod, period = _walk(inp.alpha, inp.p, Meter(inp.budgets))
     # one multiset per prefix digit, before the list, in one charge
     Meter(inp.budgets).charge_multisets(inp.count)
     return {
         "alpha": str(inp.alpha),
         "p": inp.p,
-        **stream.to_json_dict(),
-        "prefix": stream.digits_prefix(inp.count),
+        "preperiod": preperiod,
+        "period": period,
+        "prefix": list(islice(chain(preperiod, cycle(period)), inp.count)),
     }
 
 
@@ -426,6 +429,8 @@ def _render_text(payload):
             lines.append(
                 "%s: %s" % (prefix, json.dumps(value, separators=(",", ":")))
             )
+        elif type(value) is bytes:
+            lines.append("%s: [%s]" % (prefix, ",".join(_byte_texts(value))))
         elif isinstance(value, str):
             lines.append("%s: %s" % (prefix, value))
         else:
@@ -438,28 +443,36 @@ def _render_text(payload):
 def _json_text(value, lists, newline="\n"):
     """json.dumps(value, indent=2), byte for byte, but for its long lists:
     _LEAVES writes a scalar, and a list of one scalar type is joined from its
-    item texts; other non-empty containers recurse; floats, empty containers
-    and non-str keys are C-encoded.
+    item texts; a bytes value is the list of its byte values; other non-empty
+    containers recurse; floats, empty containers and non-str keys are
+    C-encoded.
 
-    A list of one scalar type longer than _SLICE is left out: a NUL, which
-    ensure_ascii JSON never holds, marks its place, and (its items, their
-    leaf, its newline) is appended to ``lists`` for _pieces."""
+    A list of one scalar type or a bytes value longer than _SLICE is left
+    out: a NUL, which ensure_ascii JSON never holds, marks its place, and
+    (its items, their leaf or None for bytes, its newline) is appended to
+    ``lists`` for _pieces."""
     leaf = _LEAVES.get(type(value))
     if leaf:
         return leaf(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return _encode(value)
+        if type(value) is not bytes:
+            return _encode(value)
+        if not value:
+            return "[]"
     pad = newline + "  "
     if isinstance(value, dict):
         items = ((encode_basestring_ascii(k) if type(k) is str else _encode({k: 0})[1:-4])
                  + ": " + _json_text(v, lists, pad) for k, v in value.items())
         return "{%s%s%s}" % (pad, ("," + pad).join(items), newline)
-    types = set(map(type, value))
-    leaf = len(types) == 1 and _LEAVES.get(types.pop())
-    if leaf and len(value) > _SLICE:
+    if type(value) is not bytes:
+        types = set(map(type, value))
+        if not (leaf := len(types) == 1 and _LEAVES.get(types.pop())):
+            items = (_json_text(v, lists, pad) for v in value)
+            return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
+    if len(value) > _SLICE:
         lists.append((value, leaf, newline))
         return "\0"
-    items = map(leaf, value) if leaf else (_json_text(v, lists, pad) for v in value)
+    items = map(leaf, value) if leaf else _byte_texts(value)
     return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
 
 
@@ -471,9 +484,10 @@ def _pieces(value):
     head, *tails = _json_text(value, lists).split("\0")
     for (items, leaf, newline), tail in zip(lists, tails):
         sep = "," + newline + "  "
-        yield head + "[" + newline + "  " + sep.join(map(leaf, items[:_SLICE]))
+        texts = functools.partial(map, leaf) if leaf else _byte_texts
+        yield head + "[" + newline + "  " + sep.join(texts(items[:_SLICE]))
         for start in range(_SLICE, len(items), _SLICE):
-            yield sep + sep.join(map(leaf, items[start:start + _SLICE]))
+            yield sep + sep.join(texts(items[start:start + _SLICE]))
         head = newline + "]" + tail
     yield head + "\n"
 
@@ -494,6 +508,15 @@ _LEAVES = {str: encode_basestring_ascii, int: _INT_TEXT.__getitem__,
            bool: {False: "false", True: "true"}.get, type(None): {None: "null"}.get}
 _encode = json.JSONEncoder().encode
 _SLICE = 4096  # items of a long scalar list written at a time
+_DIGITS = bytes(48 + b if b < 10 else 32 for b in range(256))  # byte b < 10 -> digit b
+
+
+def _byte_texts(items):
+    """The item texts of a bytes value: translated to ASCII digits, one str
+    whose characters are the texts when every byte is below 10, else
+    _INT_TEXT of each byte."""
+    text = items.translate(_DIGITS)
+    return text.decode() if text.isdigit() else map(_INT_TEXT.__getitem__, items)
 
 
 def _parse_args(argv):

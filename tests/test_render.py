@@ -99,6 +99,12 @@ def test_render_memory():
     ([0] * 8193, 4),
     ({"a": [0] * 5000, "b": (1,) * 9000}, 6),  # 2 + 3 slices, one piece after
     ([1, True] * 3000, 1),  # two scalar types: built whole
+    # a bytes value is a list of its byte values
+    pytest.param(bytes(4096), 1, id="bytes4096-1"),
+    pytest.param(bytes(4097), 3, id="bytes4097-3"),
+    pytest.param(bytes(range(10)) * 820, 4, id="bytes8200-4"),
+    pytest.param({"a": bytes(range(256)) * 20, "b": (1,) * 9000}, 6, id="bytes5120-6"),
+    pytest.param(b"", 1, id="bytes0-1"),
 ])
 def test_long_lists_go_out_a_slice_at_a_time(value, count):
     assert len(list(cli._pieces(value))) == count
@@ -179,7 +185,7 @@ def test_every_command_payload(capsys, monkeypatch):
     assert sorted({p["command"] for p in payloads if "command" in p}) == sorted(cli._COMMANDS)
     assert payloads[-1]["error"]["kind"] == "BudgetExceeded"
     for payload in payloads:
-        assert "".join(pieces(payload)) == json.dumps(payload, indent=2) + "\n"
+        assert "".join(pieces(payload)) == json.dumps(payload, indent=2, default=list) + "\n"
 
 
 def test_cli_writes_json_dumps_bytes(capsys):
