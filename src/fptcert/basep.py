@@ -100,11 +100,27 @@ class DigitStream:
         return {"preperiod": self.preperiod, "period": self.period}  # tuples render as lists
 
 
+class _Singles(dict):
+    """d -> (d,): the one-digit blocks of a base past 256, none kept."""
+
+    def __missing__(self, d):
+        return (d,)
+
+
 @functools.cache
 def _digit_table(p, k):
     """Block b in 0..p**k - 1 -> its k base-p digits as bytes (p <= 256,
-    and k > 1 only when p <= 64), leading digit first."""
+    and k > 1 only when p <= 64), leading digit first; past 256, k = 1
+    and the block of d is (d,)."""
+    if p > 256:
+        return _Singles()
     return list(map(bytes, itertools.product(range(p), repeat=k)))
+
+
+@functools.cache
+def _complement(p):
+    """The translate table of byte b < p to p - 1 - b."""
+    return bytes(range(p - 1, -1, -1)).ljust(256, b"\0")
 
 
 def digits(alpha, p, meter=None):
@@ -112,8 +128,9 @@ def digits(alpha, p, meter=None):
 
     The expansion is the nonterminating one: digit k is
     ceil(p**k * alpha) - 1 - p * (ceil(p**(k-1) * alpha) - 1).  Each
-    period digit walked costs one multiset on ``meter``, if given, in one
-    charge when the walk ends or at the step that would pass the cap.
+    period digit costs one multiset on ``meter``, if given, whether walked
+    or read as the complement of the first half, in one charge when the
+    walk ends or at the step that would pass the cap.
     """
     preperiod, period = _walk(alpha, p, meter)
     return DigitStream(p, preperiod, tuple(period), _as_fraction(alpha))
@@ -139,29 +156,39 @@ def _walk(alpha, p, meter=None):
     # Then r/den = first/rest, rest prime to p, walked one block of k digits
     # per step.  As p**k <= rest < p**period, the period ends i <= k digits into
     # the step from state first * p**-i, taken in (0, rest] as the states are.
+    # From state rest - r the digits are the (p - 1)-complements of those from
+    # r, so if the walk reaches rest - first after h digits (when -1 is a power
+    # of p mod rest), the period is those h digits and their complements.
+    # back maps the state at the top of a step to i if the period ends i
+    # digits into the step, or to -i if its first half does (the complement
+    # rest - s of a state s that ends it); only rest = 2 has a state that
+    # does both, and the period's end wins.
     first = r = r // (den // rest)
     k, step = 1, p
     while step * p <= min(rest, 4096):
         k, step = k + 1, step * p
-    table = _digit_table(p, k) if p <= 256 else None
-    back = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
-    period = bytearray() if table else []  # a byte per digit
+    table = _digit_table(p, k)
+    ends = {(first * pow(p, -i, rest) - 1) % rest + 1: i for i in range(1, k + 1)}
+    back = {rest - state: -i for state, i in ends.items()} | ends
+    period = bytearray() if p <= 256 else []  # a byte per digit
     limit = None if meter is None else max(
         (meter.budgets.max_multisets - meter.multisets) // k + 1, 1)
-    for steps in itertools.count(1) if meter is None else range(1, limit):
+    for _ in itertools.count() if meter is None else range(1, limit):
+        if r in back:
+            break
         x = step * r - 1  # d = ceil(step r / rest) - 1 = x // rest, next state x % rest + 1
         d = x // rest
-        block = table[d] if table else (d,)
-        if r in back:
-            period += block[: back[r]]
-            break
-        period += block
+        period += table[d]
         r = x % rest + 1
     else:
         meter.charge_multisets(k * limit)  # step limit passes the cap: it raises
-    if meter is not None:
-        meter.charge_multisets(k * steps)
-    return tuple(sequence), bytes(period) if table else period
+    i = back[r]
+    period += table[(step * r - 1) // rest][:abs(i)]
+    if i < 0:
+        period += period.translate(_complement(p)) if p <= 256 else [p - 1 - d for d in period]
+    if meter is not None:  # k digits per step of the whole period
+        meter.charge_multisets(k * -(-len(period) // k))
+    return tuple(sequence), bytes(period) if p <= 256 else period
 
 
 def digit_at(alpha, p, k):

@@ -110,20 +110,26 @@ def _norm_fraction(value, flag, key=None):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        head, e, tail = value.strip().lower().rpartition("e")
+        text = value.strip()
+        # Fraction reads an underscore between two digits only from Python 3.11
+        # on; a text it refuses is refused as written
+        plain = re.sub(r"(?<=\d)_(?=\d)", "", text)
+        head, e, tail = plain.lower().rpartition("e")
         # Fraction builds 10**|exponent| first; past the limit + len(head) digits a
         # nonzero value has a part the input echo refuses, so it is refused here
         with contextlib.suppress(ValueError):  # Fraction words any other refusal
-            if e and re.fullmatch(r"[-+]?\d+(_\d+)*", tail):
+            if e and re.fullmatch(r"[-+]?\d+", tail):
                 if not (mantissa := Fraction(head + "e0")):
                     return mantissa  # zero is zero, whatever its exponent
                 _check_text_digits(digits=abs(int(tail)) - len(head))
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise InputError("%s is not a rational number: zero denominator" % flag)
-        except ValueError as exc:
-            raise InputError("%s is not a rational number: %s" % (flag, exc))
+        for literal in dict.fromkeys((plain, text)):
+            try:
+                return Fraction(literal)
+            except ZeroDivisionError:
+                raise InputError("%s is not a rational number: zero denominator" % flag)
+            except ValueError as exc:
+                refusal = exc
+        raise InputError("%s is not a rational number: %s" % (flag, refusal))
     raise InputError("%s must be a rational number" % flag)
 
 
@@ -430,7 +436,7 @@ def _render_text(payload):
                 "%s: %s" % (prefix, json.dumps(value, separators=(",", ":")))
             )
         elif type(value) is bytes:
-            lines.append("%s: [%s]" % (prefix, ",".join(_byte_texts(value))))
+            lines.append("%s: [%s]" % (prefix, _joined(value, None, ",")))
         elif isinstance(value, str):
             lines.append("%s: %s" % (prefix, value))
         else:
@@ -472,8 +478,7 @@ def _json_text(value, lists, newline="\n"):
     if len(value) > _SLICE:
         lists.append((value, leaf, newline))
         return "\0"
-    items = map(leaf, value) if leaf else _byte_texts(value)
-    return "[%s%s%s]" % (pad, ("," + pad).join(items), newline)
+    return "[%s%s%s]" % (pad, _joined(value, leaf, "," + pad), newline)
 
 
 def _pieces(value):
@@ -484,10 +489,9 @@ def _pieces(value):
     head, *tails = _json_text(value, lists).split("\0")
     for (items, leaf, newline), tail in zip(lists, tails):
         sep = "," + newline + "  "
-        texts = functools.partial(map, leaf) if leaf else _byte_texts
-        yield head + "[" + newline + "  " + sep.join(texts(items[:_SLICE]))
+        yield head + "[" + newline + "  " + _joined(items[:_SLICE], leaf, sep)
         for start in range(_SLICE, len(items), _SLICE):
-            yield sep + sep.join(texts(items[start:start + _SLICE]))
+            yield sep + _joined(items[start:start + _SLICE], leaf, sep)
         head = newline + "]" + tail
     yield head + "\n"
 
@@ -511,12 +515,21 @@ _SLICE = 4096  # items of a long scalar list written at a time
 _DIGITS = bytes(48 + b if b < 10 else 32 for b in range(256))  # byte b < 10 -> digit b
 
 
-def _byte_texts(items):
-    """The item texts of a bytes value: translated to ASCII digits, one str
-    whose characters are the texts when every byte is below 10, else
-    _INT_TEXT of each byte."""
-    text = items.translate(_DIGITS)
-    return text.decode() if text.isdigit() else map(_INT_TEXT.__getitem__, items)
+def _joined(items, leaf, sep):
+    """sep.join of the item texts of a scalar list, each written by
+    ``leaf``, or of a bytes value (leaf None).  When every byte is below
+    10, the bytes, translated to ASCII digits, are written at stride
+    len(sep) + 1 into "0" + sep repeated; otherwise each byte is written
+    by _INT_TEXT."""
+    if leaf is None:
+        digits = items.translate(_DIGITS)
+        if digits.isdigit():
+            sep = sep.encode()
+            text = bytearray((b"0" + sep) * len(items))
+            text[::len(sep) + 1] = digits
+            return text[:len(text) - len(sep)].decode()
+        leaf = _INT_TEXT.__getitem__
+    return sep.join(map(leaf, items))
 
 
 def _parse_args(argv):
