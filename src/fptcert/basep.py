@@ -69,6 +69,15 @@ def _check_int(value, name, low=1):
                          % (name, "positive" if low else "nonnegative", value))
 
 
+def _sequence(items, name):
+    """``items`` as a tuple, or InputError when it is not iterable."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise InputError("%s %r is not a sequence" % (name, items)) from None
+    return tuple(iterator)
+
+
 def _as_fraction(alpha):
     if isinstance(alpha, (Fraction, int)) and not isinstance(alpha, bool):
         return Fraction(alpha)
@@ -195,6 +204,7 @@ def digit_at(alpha, p, k):
     """The k-th digit of the nonterminating expansion: p**k times the step
     from <alpha>_(k-1) to <alpha>_k; digit_at(0, p, k) is 0."""
     _check_int(k, "digit position")
+    _check_base(p)
     return int(p**k * (truncation(alpha, p, k) - truncation(alpha, p, k - 1)))
 
 
@@ -242,12 +252,8 @@ def carry_horizon(block, p, meter=None):
     periods.  Each class taken off its heap is charged to ``meter``'s
     multiset budget (a fresh ``Meter()`` when None)."""
     _check_base(p)
-    try:
-        block = list(block)
-    except TypeError:
-        raise InputError("block %r is not a sequence" % (block,))
     streams = []
-    for alpha in block:
+    for alpha in _sequence(block, "block"):
         alpha = _as_fraction(alpha)
         if not (0 <= alpha <= 1):
             raise InputError("entries must lie in [0, 1], got %s" % alpha)
@@ -389,7 +395,7 @@ def multinomial_nonzero_mod_p(total, parts, p):
     (``_lucas``).  No factorials are computed."""
     _check_base(p)
     _check_int(total, "total", 0)
-    parts = list(parts)
+    parts = _sequence(parts, "parts")
     for x in parts:
         _check_int(x, "part", 0)
     if total != sum(parts):
@@ -403,8 +409,8 @@ def in_P_rho_0(blocks, p):
     guarantees membership for all large p."""
     _check_base(p)
     results = []
-    for block in blocks:
-        entries = [_as_fraction(x) for x in block]
+    for block in _sequence(blocks, "blocks"):
+        entries = [_as_fraction(x) for x in _sequence(block, "block")]
         if sum(entries) <= 1:
             raise InputError(
                 "first-digit criterion needs each block sum > 1, got %s"
@@ -418,4 +424,4 @@ def in_P_rho_inf(blocks, p, meter=None):
     """Carry-free criterion: every block adds without carrying in
     base p, all charged to one ``meter`` (a fresh ``Meter()`` if None)."""
     meter = meter if meter is not None else Meter()
-    return all(adds_without_carrying(block, p, meter) for block in blocks)
+    return all(adds_without_carrying(block, p, meter) for block in _sequence(blocks, "blocks"))

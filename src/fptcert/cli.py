@@ -44,6 +44,7 @@ from .thresholds import (
 )
 
 _BUDGET_FIELDS = tuple(field.name for field in fields(Budgets))
+_BUDGET_FLAGS = tuple((field, True) for field in _BUDGET_FIELDS)  # all optional
 
 
 def _decimal6(value):
@@ -155,6 +156,12 @@ def _at_least(minimum):
     return norm
 
 
+def _positive(value, flag, key):
+    if _norm_int(value, key) <= 0:
+        raise InputError("%s must be positive" % key)
+    return value
+
+
 # One input: its key in the input echo, its argparse help and type, its
 # normalizer norm(value, flag, key), and its value when absent (None makes
 # absence an error).  The job file uses the flag name as its key.
@@ -183,31 +190,20 @@ _FLAGS = {
         int,
         _at_least(1),
     ),
+    **{field: _Flag(field, None, int, _positive) for field in _BUDGET_FIELDS},
 }
 
 
 def _resolve_budgets(args, job):
     budgets = Budgets.from_env()
-    job_budgets = {}
-    if job is not None and "budgets" in job:
-        if not isinstance(job["budgets"], dict):
-            raise InputError("job budgets must be an object")
-        job_budgets = job["budgets"]
-        for key in job_budgets:
-            if key not in _BUDGET_FIELDS:
-                raise InputError("unknown budget %r in job file" % key)
-    overrides = {}
-    for field in _BUDGET_FIELDS:
-        value = getattr(args, field)
-        if value is None:
-            value = job_budgets.get(field)
-        if value is None:
-            continue
-        value = _norm_int(value, field)
-        if value <= 0:
-            raise InputError("%s must be positive" % field)
-        overrides[field] = value
-    return replace(budgets, **overrides)
+    job_budgets = job.get("budgets", {})
+    if not isinstance(job_budgets, dict):
+        raise InputError("job budgets must be an object")
+    for key in job_budgets:
+        if key not in _BUDGET_FIELDS:
+            raise InputError("unknown budget %r in job file" % key)
+    values = _resolve_inputs(args, job_budgets, _BUDGET_FLAGS)
+    return replace(budgets, **{k: v for k, v in values.items() if v is not None})
 
 
 def _resolve_inputs(args, job, flags):
@@ -218,7 +214,7 @@ def _resolve_inputs(args, job, flags):
     for name, optional in flags:
         spec = _FLAGS[name]
         value = getattr(args, name)
-        if value is None and job is not None:
+        if value is None:
             value = job.get(name)
         if value is not None:
             value = spec.norm(value, _flag(name), spec.key)
@@ -416,11 +412,11 @@ def _build_parser():
         cmd.add_argument(
             "--format",
             choices=("json", "text"),
-            default=None,
             help="output format (default json)",
         )
-        for field in _BUDGET_FIELDS:
-            cmd.add_argument(_flag(field), type=int, default=None)
+        for name, _ in _BUDGET_FLAGS:  # after --format, as usage lines show them
+            spec = _FLAGS[name]
+            cmd.add_argument(_flag(name), type=spec.type, help=spec.help)
     return parser
 
 
@@ -549,17 +545,15 @@ def _parse_args(argv):
 
 def _run(argv):
     args = _parse_args(argv)
-    job = _load_job(args.job) if args.job else None
-    if job is not None and "command" in job and job["command"] != args.command:
+    job = _load_job(args.job) if args.job else {}
+    if "command" in job and job["command"] != args.command:
         raise InputError(
             "job file is for command %r, invoked as %r" % (job["command"], args.command)
         )
     _, flags, handler = _COMMANDS[args.command]
-    if job is not None:
-        known = {"command", "format", "budgets", *(name for name, _ in flags)}
-        for key in job:
-            if key not in known:
-                raise InputError("unknown key %r in job file for %s" % (key, args.command))
+    for key in job:
+        if key not in ("command", "format", "budgets") and key not in dict(flags):
+            raise InputError("unknown key %r in job file for %s" % (key, args.command))
     budgets = _resolve_budgets(args, job)
     values = _resolve_inputs(args, job, flags)
     inputs = {key: _jsonable(value) for key, value in values.items()}
@@ -573,13 +567,9 @@ def _run(argv):
         "result": handler(SimpleNamespace(budgets=budgets, **values)),
         "version": __version__,
     }
-    out_format = args.format
-    if out_format is None and job is not None:
-        job_format = job.get("format")
-        if job_format is not None:
-            if job_format not in ("json", "text"):
-                raise InputError("job format must be 'json' or 'text'")
-            out_format = job_format
+    out_format = args.format or job.get("format")
+    if out_format not in (None, "json", "text"):
+        raise InputError("job format must be 'json' or 'text'")
     if out_format == "text":
         sys.stdout.write(_render_text(payload))
     else:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .basep import _sequence
 from .budgets import Meter
 from .errors import (
     DimensionTooLarge,
@@ -77,15 +78,6 @@ def _split_blocks(vector, block_sizes):
     """Cut a vector into consecutive per-block tuples."""
     bounds = tuple(itertools.accumulate(block_sizes, initial=0))
     return tuple(tuple(vector[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-
-def _sequence(items, name):
-    """``items`` as a tuple, or InputError when it is not iterable."""
-    try:
-        iterator = iter(items)
-    except TypeError:
-        raise InputError("%s %r is not a sequence" % (name, items)) from None
-    return tuple(iterator)
 
 
 def _polynomials(generators):
@@ -324,11 +316,8 @@ def _support_rows(supports):
     """Validate a support set and return (rows, width) of E, whose
     columns are its distinct points in sorted order."""
     cleaned = set()
-    for vector in supports:
-        try:
-            vector = tuple(vector)
-        except TypeError:
-            raise InputError("support vector %r is not a sequence" % (vector,))
+    for vector in _sequence(supports, "supports"):
+        vector = _sequence(vector, "support vector")
         if any(type(v) is not int or v < 0 for v in vector):
             raise InputError("support vectors must have nonnegative integer entries")
         if not any(vector):

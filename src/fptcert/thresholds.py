@@ -23,6 +23,7 @@ from .basep import (
     _check_int,
     _check_prime,
     _lucas,
+    _sequence,
     carry_horizon,
     in_P_rho_0,
     in_P_rho_inf,
@@ -39,7 +40,6 @@ from .errors import (
 from .geometry import (
     _check_generators,
     _polynomials,
-    _sequence,
     _solved,
     exponent_matrix,
     newton_min_diagonal,
@@ -580,6 +580,7 @@ def coefficient_witness(generators, p, e, budgets=None):
     the product over blocks of the multinomial (Q_i; p**e <rho_i>_e)
     times the matching powers of the retained coefficients."""
     _check_int(e, "e")
+    _check_prime(p)  # p=None would be _unique_rho's classifier mode
     mapping, matrix, cert = _unique_rho(generators, p)
     meter = Meter(budgets)
     parts_per_block = [
@@ -602,7 +603,7 @@ def coefficient_witness(generators, p, e, budgets=None):
         box = _Box([x // scale + 1 for x in target], p, max(target) + 1)
         product = {key * p: c for key, c in product.items()}
         for g, q_i in zip(mapping.original_generators, exponents):
-            for packed in [box.pack(g)] * (q_i // scale % p):  # digit k of Q_i
+            for packed in itertools.repeat(box.pack(g), q_i // scale % p):  # digit k of Q_i
                 product = meter.mul(box, product, packed)
         scale //= p
     actual = product.get(box.key(target), 0)

@@ -253,7 +253,34 @@ def test_witness(capsys):
     }
 
 
-DEFAULT_BUDGETS = {"max_multisets": 10**6, "max_terms": 10**7, "max_dimension": 12}
+def test_witness_digit_near_2_31_under_a_memory_cap():
+    """At p = 2^31 - 1 a base-p digit of the exponents is near 2^31.  The
+    witness used to build a list of one reference per unit of that digit,
+    which exited 1 with a MemoryError traceback under a 1 GiB address
+    space.  It now stops at the term cap with the JSON error (exit 4).
+    The cap is set in the child only."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from fptcert.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["witness", "--vars", "x,y", "--gens", "x^2+y^3", "--p", "2147483647",
+            "--e", "1", "--max-terms", "100000"]
+    package_root = Path(fptcert.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    message = "term-operation budget exhausted (100172 > 100000)"
+    assert (proc.returncode, proc.stderr) == (4, "error: %s\n" % message)
+    assert json.loads(proc.stdout)["error"] == {"kind": "BudgetExceeded", "message": message}
+
+
+DEFAULT_BUDGETS ={"max_multisets": 10**6, "max_terms": 10**7, "max_dimension": 12}
 PAIR_ECHO = {"variables": ["x", "y", "z"], "generators": ["x^2+x*y^2", "y*z^3"]}
 FERMAT6_ECHO = {
     "variables": ["x1", "x2", "x3", "x4", "x5", "x6"],

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from fptcert.basep import INFINITY, CarryHorizon, digit_at, digits, truncation
+from fptcert.basep import (
+    INFINITY,
+    CarryHorizon,
+    digit_at,
+    digits,
+    in_P_rho_0,
+    in_P_rho_inf,
+    multinomial_nonzero_mod_p,
+    truncation,
+)
 from fptcert.budgets import Budgets
 from fptcert.errors import (
     BudgetExceeded,
@@ -22,6 +31,7 @@ from fptcert.fvolume import (
     term_ideal_volume_bound,
     volume_witness_floor,
 )
+from fptcert.geometry import diagonal_position, newton_min_diagonal
 from fptcert.polyring import (
     QQ,
     Polynomial,
@@ -507,6 +517,36 @@ def test_non_iterable_generators_are_input_errors(name):
     # each raised a raw TypeError ('NoneType' object is not iterable)
     with pytest.raises(InputError, match="^(generators|ideals) None is not a sequence$"):
         NON_ITERABLE_CALLS[name]()
+
+
+# (call, its message): each raised a raw TypeError ('int' object is not iterable)
+NON_SEQUENCE_CALLS = {
+    "in_P_rho_0": (lambda: in_P_rho_0(5, 2), "blocks 5 is not a sequence"),
+    "in_P_rho_0 block": (lambda: in_P_rho_0([5], 2), "block 5 is not a sequence"),
+    "in_P_rho_inf": (lambda: in_P_rho_inf(5, 2), "blocks 5 is not a sequence"),
+    "multinomial_nonzero_mod_p": (
+        lambda: multinomial_nonzero_mod_p(3, 5, 2), "parts 5 is not a sequence"),
+    "newton_min_diagonal": (lambda: newton_min_diagonal(5), "supports 5 is not a sequence"),
+    "diagonal_position": (lambda: diagonal_position(5), "supports 5 is not a sequence"),
+    "monomial_fpt": (lambda: monomial_fpt(5), "supports 5 is not a sequence"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SEQUENCE_CALLS))
+def test_non_iterable_sequences_are_input_errors(name):
+    call, message = NON_SEQUENCE_CALLS[name]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_prime_is_checked_before_it_is_used():
+    """p=None used to reach p**e (a raw TypeError); for the witness it
+    also ran the rational pipeline, _unique_rho's classifier mode."""
+    with pytest.raises(InputError, match=r"^p must be a prime number, got None$"):
+        coefficient_witness(pair(), None, 1)
+    with pytest.raises(InputError, match=r"^base must be an integer >= 2, got None$"):
+        digit_at(Fraction(1, 2), None, 1)
 
 
 def test_verify_prime_above_t():
