@@ -116,13 +116,20 @@ class _Singles(dict):
         return (d,)
 
 
-@functools.cache
+_SINGLES = _Singles()  # the digit table of every base past 256
+
+
 def _digit_table(p, k):
+    """Block b in 0..p**k - 1 -> its k base-p digits: for p <= 256 the
+    memoized ``_byte_table``; past 256, k = 1 and every base shares
+    _SINGLES, so a sweep over large primes keeps nothing."""
+    return _byte_table(p, k) if p <= 256 else _SINGLES
+
+
+@functools.cache
+def _byte_table(p, k):
     """Block b in 0..p**k - 1 -> its k base-p digits as bytes (p <= 256,
-    and k > 1 only when p <= 64), leading digit first; past 256, k = 1
-    and the block of d is (d,)."""
-    if p > 256:
-        return _Singles()
+    and k > 1 only when p <= 64), leading digit first."""
     return list(map(bytes, itertools.product(range(p), repeat=k)))
 
 
@@ -423,5 +430,6 @@ def in_P_rho_0(blocks, p):
 def in_P_rho_inf(blocks, p, meter=None):
     """Carry-free criterion: every block adds without carrying in
     base p, all charged to one ``meter`` (a fresh ``Meter()`` if None)."""
+    _check_base(p)
     meter = meter if meter is not None else Meter()
     return all(adds_without_carrying(block, p, meter) for block in _sequence(blocks, "blocks"))

@@ -11,6 +11,7 @@ environment variables:
     FPTCERT_MAX_DIMENSION   polytope dimension accepted by vertex listing
 """
 
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -26,24 +27,35 @@ class Budgets:
 
     @classmethod
     def from_env(cls, environ=None):
-        """Defaults overridden by the FPTCERT_<FIELD> environment variables."""
+        """Defaults overridden by the FPTCERT_<FIELD> environment variables.
+        The texts are read on every call and parsed once per distinct tuple
+        of them (``_parsed_env``), so a changed environment counts at once."""
         environ = os.environ if environ is None else environ
-        values = {}
-        for field in fields(cls):
-            name = "FPTCERT_" + field.name.upper()
-            raw = environ.get(name)
-            if raw is None or raw == "":
-                continue
-            try:
-                value = int(raw)
-            except ValueError:
-                raise BudgetExceeded(
-                    "environment variable %s=%r is not an integer" % (name, raw)
-                )
-            if value <= 0:
-                raise BudgetExceeded("environment variable %s must be positive" % name)
-            values[field.name] = value
-        return cls(**values)
+        return _parsed_env(cls, tuple(map(environ.get, _VARIABLES)))
+
+
+_VARIABLES = tuple("FPTCERT_" + field.name.upper() for field in fields(Budgets))
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed_env(cls, texts):
+    """``cls`` with each field set from its FPTCERT_* text in ``texts``
+    (None or "" keeps the default); a malformed text is refused on every
+    call, as nothing is kept for it, and every call shares the instance."""
+    values = {}
+    for field, name, raw in zip(fields(cls), _VARIABLES, texts):
+        if raw is None or raw == "":
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            raise BudgetExceeded(
+                "environment variable %s=%r is not an integer" % (name, raw)
+            )
+        if value <= 0:
+            raise BudgetExceeded("environment variable %s must be positive" % name)
+        values[field.name] = value
+    return cls(**values)
 
 
 def _check_text_digits(*numbers, digits=0):

@@ -203,7 +203,8 @@ def _resolve_budgets(args, job):
         if key not in _BUDGET_FIELDS:
             raise InputError("unknown budget %r in job file" % key)
     values = _resolve_inputs(args, job_budgets, _BUDGET_FLAGS)
-    return replace(budgets, **{k: v for k, v in values.items() if v is not None})
+    overrides = {k: v for k, v in values.items() if v is not None}
+    return replace(budgets, **overrides) if overrides else budgets
 
 
 def _resolve_inputs(args, job, flags):
@@ -387,6 +388,32 @@ def _cmd_witness(inp):
     return coefficient_witness(inp.generators, inp.p, inp.e, inp.budgets).to_json_dict()
 
 
+# One option of a subcommand's parser: its dest, its argparse type (None
+# keeps the text), choices and help.
+_Option = namedtuple("_Option", "dest type choices help")
+
+_FORMATS = ("json", "text")  # the choices of --format
+
+
+def _flag_options(flags):
+    return {_flag(name): _Option(name, _FLAGS[name].type, None, _FLAGS[name].help)
+            for name, _ in flags}
+
+
+# Subcommand name -> option string -> _Option, in the order its parser
+# adds them: its flags, --job, --format, then the budget flags, as -h and
+# usage lines list them (argparse prints options in the order they are added).
+_OPTIONS = {
+    command: {
+        **_flag_options(flags),
+        "--job": _Option("job", None, None, "JSON job file; flags win on conflict"),
+        "--format": _Option("format", None, _FORMATS, "output format (default json)"),
+        **_flag_options(_BUDGET_FLAGS),
+    }
+    for command, (_, flags, _) in _COMMANDS.items()
+}
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; help text is
@@ -402,21 +429,10 @@ def _build_parser():
         "--version", action="version", version="fptcert %s" % __version__
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    parser.commands = sub.choices  # command name -> its parser, for _parse_args
-    for command, (help_text, flags, _) in _COMMANDS.items():
+    for command, (help_text, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
-        for name, _ in flags:
-            spec = _FLAGS[name]
-            cmd.add_argument(_flag(name), type=spec.type, help=spec.help)
-        cmd.add_argument("--job", help="JSON job file; flags win on conflict")
-        cmd.add_argument(
-            "--format",
-            choices=("json", "text"),
-            help="output format (default json)",
-        )
-        for name, _ in _BUDGET_FLAGS:  # after --format, as usage lines show them
-            spec = _FLAGS[name]
-            cmd.add_argument(_flag(name), type=spec.type, help=spec.help)
+        for option, spec in _OPTIONS[command].items():
+            cmd.add_argument(option, type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
@@ -528,19 +544,45 @@ def _joined(items, leaf, sep):
     return sep.join(map(leaf, items))
 
 
+def _canonical(argv):
+    """The Namespace parse_args makes of a canonical ``argv``, else None.
+
+    An argv is canonical when argv[0] is a command and every later token
+    is one of its full option strings, as --flag=value or as --flag and a
+    next token; no value is empty, a next-token value does not start with
+    '-', an int value converts and a --format value is one of its choices.
+    parse_args stores each value of such an argv, the last of a repeated
+    flag winning, and None for every option not given."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    values = {spec.dest: None for spec in options.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, equals, value = token.partition("=")
+        spec = options.get(option)
+        if not equals:
+            value = next(tokens, "")
+        if spec is None or not value or not equals and value[0] == "-":
+            return None
+        if spec.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif spec.choices and value not in spec.choices:
+            return None
+        values[spec.dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv):
-    """_build_parser().parse_args(argv), with a leading command name sent
-    straight to that command's parser; what it leaves over is reported by
-    the top-level parser, as parse_args would."""
-    parser = _build_parser()
+    """_build_parser().parse_args(argv), read from the option table without
+    building the parser when argv is canonical (``_canonical``); argparse
+    reads every other argv and writes every help, usage and error text."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in parser.commands:
-        return parser.parse_args(argv)
-    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
-    return args
+    args = _canonical(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def _run(argv):
@@ -568,7 +610,7 @@ def _run(argv):
         "version": __version__,
     }
     out_format = args.format or job.get("format")
-    if out_format not in (None, "json", "text"):
+    if out_format not in (None, *_FORMATS):
         raise InputError("job format must be 'json' or 'text'")
     if out_format == "text":
         sys.stdout.write(_render_text(payload))

@@ -671,6 +671,9 @@ def lct_fpt_classifier(generators):
     the term ideal (for rational rho the carry-free prime set is
     automatically infinite: it contains every p = 1 mod the lcm of the
     denominators).  Mixed sums: inconclusive.
+
+    Each generator tuple is classified once per process (``_classified``):
+    every call returns the same frozen verdict.
     """
     generators = _sequence(generators, "generators")
     for i, g in enumerate(generators):
@@ -678,6 +681,13 @@ def lct_fpt_classifier(generators):
             raise RingMismatch(
                 "classifier expects rational generators (generator %d)" % i
             )
+    return _classified(generators)
+
+
+@functools.lru_cache(maxsize=256)
+def _classified(generators):
+    """The LctVerdict of a tuple of rational generators, bounded like
+    _certified; a refusal is not kept, so it is raised on every call."""
     cert = _unique_rho(generators)[2]
     rho_blocks = cert.blocks_of_rho
     sums = tuple(sum(block, Fraction(0)) for block in rho_blocks)

@@ -13,8 +13,18 @@ from pathlib import Path
 import pytest
 
 import fptcert
+from fptcert import cli
 from fptcert.budgets import Budgets
-from fptcert.cli import _COMMANDS, _build_parser, _flag, _norm_fraction, _parse_args, main
+from fptcert.cli import (
+    _COMMANDS,
+    _FLAGS,
+    _OPTIONS,
+    _build_parser,
+    _flag,
+    _norm_fraction,
+    _parse_args,
+    main,
+)
 from fptcert.errors import BudgetExceeded, InputError
 from test_parse_differential import random_text
 
@@ -823,11 +833,17 @@ def _dispatch_argvs():
     """Top-level argvs, and per subcommand each argv shape: flag and value,
     flag=value, abbreviated and ambiguous flags, help, an unknown flag, a
     flag with no value, --version after the command, '--' and a negative
-    value."""
+    value; then the shapes the option table reads or hands on: an empty
+    explicit value, a leading minus after '=', a bad int, --format choices,
+    a repeated flag, an empty-string value, a flag of another command, a
+    value that starts with '-', a token the top-level parser finds ambiguous
+    ('--=5') and the same token after '--'."""
     argvs = [[], ["--version"], ["-h"], ["no-such-command"], ["--version", "nu"]]
     for command, (_, flags, _) in _COMMANDS.items():
         every = [arg for name, _ in flags for arg in (_flag(name), "5")]
         first, last = _flag(flags[0][0]), _flag(flags[-1][0])
+        number = "--p" if "p" in dict(flags) else "--max-terms"
+        other = next(_flag(name) for name in _FLAGS if name not in dict(flags))
         argvs += [[command, *shape] for shape in (
             every + ["--job", "j.json", "--format", "text", "--max-terms", "9"],
             [first + "=5"],
@@ -839,6 +855,23 @@ def _dispatch_argvs():
             [first, "5", "--version"],
             ["--", "5"],
             [last, "-3"],
+            [number + "="],
+            [first + "="],
+            [first + "=-x^2+y", number, "5"],
+            [number, "x"],
+            [number + "=x"],
+            [number, "5", "--format", "xml"],
+            ["--format=text", number + "=5"],
+            ["--format=xml"],
+            [first, "a", first + "=b", number, "5", number, "7"],
+            [first, ""],
+            [first, "5", other, "5"],
+            [first, "5", "--job", "-j.json"],
+            ["--=5"],
+            [first, "5", "--", "--=5"],
+            [arg.replace(" ", "=") for arg in (
+                *(_flag(name) + " 5" for name, _ in flags), "--job j.json",
+                "--format json", "--max-multisets 3", "--max-dimension 4")],
         )]
     return argvs
 
@@ -860,6 +893,54 @@ def test_dispatch_matches_the_top_level_parser(capsys, argv):
     assert _outcome(capsys, _parse_args, argv) == expected
     if argv[:1] == ["--version"]:
         assert expected == (0, "fptcert 0.1.0\n", "")
+
+
+def _seeded_argvs(rng, count):
+    """Argvs of one command drawn from its option strings, their prefixes,
+    options of other commands and stray tokens, each option as --flag=value
+    or followed by a value, a value that may be empty, start with '-', hold
+    '=' or name a --format choice."""
+    values = ("5", "-5", "", "x", "json", "text", "xml", "a=b", "-x", "5e", " 7", "0")
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(sorted(_COMMANDS))
+        options = list(_OPTIONS[command]) + [_flag(name) for name in _FLAGS]
+        argv = [command]
+        for _ in range(rng.randint(0, 5)):
+            option = rng.choice(options)
+            shape = rng.randrange(8)
+            if shape == 0:
+                option = option[:rng.randint(2, len(option))]
+            elif shape == 1:
+                option = rng.choice(("-h", "--", "--version", "stray", "-p"))
+            if rng.random() < 0.4:
+                argv.append(option + "=" + rng.choice(values))
+            else:
+                argv += [option] + [rng.choice(values)] * (rng.random() < 0.9)
+        argvs.append(argv)
+    return argvs
+
+
+def test_seeded_argvs_match_the_top_level_parser(capsys):
+    argvs = _seeded_argvs(random.Random(42), 3000)
+    read = 0
+    for argv in argvs:
+        expected = _outcome(capsys, _build_parser().parse_args, argv)
+        assert _outcome(capsys, _parse_args, argv) == expected, argv
+        read += cli._canonical(argv) is not None
+    # both kinds of argv are drawn often
+    assert 300 < read < len(argvs) - 300
+
+
+def test_a_canonical_call_builds_no_parser(capsys):
+    _build_parser.cache_clear()
+    assert main(["fpt-bound", *PAIR, "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == "5/6"
+    assert _build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit):
+        main(["fpt-bound", *PAIR, "--p", "x"])  # argparse words the refusal
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert _build_parser.cache_info().currsize == 1
 
 
 def test_console_script_runs(tmp_path):

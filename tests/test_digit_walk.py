@@ -86,7 +86,7 @@ def _cases():
 @pytest.fixture
 def table_sizes(monkeypatch):
     sizes = []
-    build = basep._digit_table.__wrapped__
+    build = basep._digit_table
 
     def recording(p, k):
         table = build(p, k)

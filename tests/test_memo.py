@@ -3,10 +3,14 @@ repeat of an exponent matrix from one solve, ``cli._parsed`` every
 repeat of a generator text from one parse, and ``thresholds._certified``
 every repeat of a (generator tuple, p, budgets) from one search, whose
 multisets every ``fpt_bound`` call charges; the certificate carries its block floors, so
-``fvolume_lower_bound`` multiplies them without rebuilding; all are
-bounded, and the output and the meter totals are the same as with a
-fresh solve, parse and certificate on every call."""
+``fvolume_lower_bound`` multiplies them without rebuilding;
+``thresholds._classified`` answers every repeat of a rational generator
+tuple from one classification, and ``budgets._parsed_env`` every repeat
+of the FPTCERT_* texts from one parse; all are bounded, refusals are
+raised on every call, and the output and the meter totals are the same
+as with a fresh solve, parse and certificate on every call."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from fptcert import cli, fvolume, geometry, thresholds
-from fptcert.basep import INFINITY
-from fptcert.budgets import Budgets, Meter
+from fptcert.basep import INFINITY, _byte_table, _walk, is_prime
+from fptcert.budgets import Budgets, Meter, _parsed_env
 from fptcert.cli import _parsed, main
 from fptcert.errors import (
     BudgetExceeded,
@@ -24,6 +28,7 @@ from fptcert.errors import (
     InputError,
     NonUniqueMaximalPoint,
     ParseError,
+    RingMismatch,
 )
 from fptcert.fvolume import fvolume_lower_bound
 from fptcert.geometry import ExponentMatrix, _solved, maximal_point
@@ -31,6 +36,7 @@ from fptcert.polyring import parse_polynomial
 from fptcert.thresholds import (
     _block_floors,
     _certified,
+    _classified,
     _unique_rho,
     fpt_bound,
     lct_fpt_classifier,
@@ -60,6 +66,13 @@ def empty_certificate_memo():
     _certified.cache_clear()
     yield
     _certified.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def empty_classifier_memo():
+    _classified.cache_clear()
+    yield
+    _classified.cache_clear()
 
 
 def _fields(cert):
@@ -158,6 +171,7 @@ def _sweep(capsys, gens_text, clear):
         if clear:
             _solved.cache_clear()
             _certified.cache_clear()
+            _classified.cache_clear()
         code = main(argv)
         out.append((argv, code, capsys.readouterr().out))
     return out
@@ -192,6 +206,30 @@ def test_memo_is_bounded():
     assert _solved.cache_info().misses == misses
     _solved(matrices[0])
     assert _solved.cache_info().misses == misses + 1
+    # every other memo keyed by user input keeps its bound too
+    fills = {
+        _parsed: lambda k: _parsed("x^%d" % k, ("x",)),
+        _certified: lambda k: fpt_bound(gens("x^%d+y" % k), 5),
+        _classified: lambda k: lct_fpt_classifier(gens("x^%d+y" % k)),
+        _parsed_env: lambda k: Budgets.from_env({"FPTCERT_MAX_TERMS": str(k)}),
+    }
+    for memo, fill in fills.items():
+        memo.cache_clear()
+        size = memo.cache_info().maxsize
+        assert isinstance(size, int) and size <= maxsize
+        for k in range(1, size + 2):
+            fill(k)
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 1), memo
+    # the digit tables are kept only for bases up to 256: a walk at a
+    # prime past 256 reads the one shared table and keeps nothing
+    kept = _byte_table.cache_info().currsize
+    primes = [q for q in range(257, 10**5) if is_prime(q)][:1000]
+    assert len(primes) == 1000
+    for q in primes:
+        period = [(q - 1) // 3] if q % 3 == 1 else [(q - 2) // 3, (2 * q - 1) // 3]
+        assert _walk(Fraction(1, 3), q) == ((), period)
+    assert _byte_table.cache_info().currsize == kept
 
 
 def test_parse_memo_hits_repeats_within_its_bound():
@@ -480,3 +518,86 @@ def test_certificate_floors_are_the_block_floors_cold_and_warm(monkeypatch):
         deep += expected != tuple(_block_floors(p, cert.rho_blocks, cert.horizons, 1))
     # so floors taken at a finite level would fail the checks above
     assert deep >= 100
+
+
+CLASSIFIED = ("x^2+x*y^2,y*z^3", "x^2+y^3,y^2+z^3", "x^3+y^3+z^3", "x^2+y^3+z^5")
+
+
+def test_verify_prime_sweep_classifies_each_tuple_once(monkeypatch, capsys):
+    """verify-prime at the six primes runs the classifier's own solve
+    (``_unique_rho`` with no p) once per tuple; each job reports only its
+    own prime, so no job changed the verdict the memo hands out."""
+    calls, original = [], thresholds._unique_rho
+
+    def recording(generators, p=None):
+        calls.append(p)
+        return original(generators, p)
+
+    monkeypatch.setattr(thresholds, "_unique_rho", recording)
+    for text in CLASSIFIED:
+        for p in PRIMES:
+            assert main(["verify-prime", "--vars", "x,y,z", "--gens", text,
+                         "--p", str(p)]) == 0
+            verdict = json.loads(capsys.readouterr().out)["result"]["verdict"]
+            assert [q for q, _ in verdict["checked_primes"]] == [p]
+    assert calls.count(None) == len(CLASSIFIED)
+    info = _classified.cache_info()
+    assert (info.misses, info.hits) == (len(CLASSIFIED), 5 * len(CLASSIFIED))
+
+
+def test_the_shared_verdict_is_frozen():
+    verdict = lct_fpt_classifier(gens("x^2+y^3", "y^2+z^3"))
+    assert lct_fpt_classifier([*gens("x^2+y^3", "y^2+z^3")]) is verdict
+    checked = verdict.with_checked(5, True)
+    assert (verdict.checked_primes, checked.checked_primes) == ((), ((5, True),))
+    with pytest.raises(AttributeError):
+        verdict.checked_primes = ((7, True),)
+
+
+@pytest.mark.parametrize("texts,error", [
+    (("x+x*y^2", "y*z^2"), NonUniqueMaximalPoint),
+    (("x+y", "y"), EmptyBlock),
+])
+def test_classifier_refusals_are_raised_on_every_call(monkeypatch, texts, error):
+    generators = gens(*texts)
+    solves = _recording(monkeypatch, "_unique_rho", thresholds)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            lct_fpt_classifier(generators)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    assert len(solves) == 3 and not _classified.cache_info().currsize
+
+
+def test_classifier_checks_the_ring_before_its_memo():
+    # a list is no key of the memo: checked first, it is a RingMismatch
+    with pytest.raises(RingMismatch, match=r"^classifier expects rational "
+                                           r"generators \(generator 0\)$"):
+        lct_fpt_classifier([[1]])
+    with pytest.raises(RingMismatch, match=r"\(generator 1\)$"):
+        lct_fpt_classifier([*gens("x^2"), *thresholds._to_fp_generators(gens("y^3"), 5)])
+    assert _classified.cache_info().misses == 0
+
+
+def test_a_changed_environment_counts_on_the_next_call(monkeypatch, capsys):
+    def echoed():
+        code = main(["fpt-bound", *PAIR, "--p", "5"])
+        payload = json.loads(capsys.readouterr().out)
+        return code, payload.get("input", {}).get("budgets", {}).get("max_multisets")
+
+    _parsed_env.cache_clear()
+    monkeypatch.delenv("FPTCERT_MAX_MULTISETS", raising=False)
+    monkeypatch.delenv("FPTCERT_MAX_TERMS", raising=False)
+    monkeypatch.delenv("FPTCERT_MAX_DIMENSION", raising=False)
+    assert echoed() == (0, 10**6)
+    monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "1000")
+    assert echoed() == (0, 1000)
+    monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "2000")
+    assert echoed() == (0, 2000)
+    monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "x")
+    assert echoed() == echoed() == (4, None)  # refused on every call
+    monkeypatch.setenv("FPTCERT_MAX_MULTISETS", "1000")
+    assert echoed() == (0, 1000)
+    # parsed once per distinct tuple of texts: the unset one, 1000, 2000
+    assert _parsed_env.cache_info().misses == 3 + 2

@@ -529,6 +529,13 @@ NON_SEQUENCE_CALLS = {
     "newton_min_diagonal": (lambda: newton_min_diagonal(5), "supports 5 is not a sequence"),
     "diagonal_position": (lambda: diagonal_position(5), "supports 5 is not a sequence"),
     "monomial_fpt": (lambda: monomial_fpt(5), "supports 5 is not a sequence"),
+    # these two returned True: with no blocks p was never checked
+    "in_P_rho_inf of no blocks, p None": (
+        lambda: in_P_rho_inf([], None), "base must be an integer >= 2, got None"),
+    "in_P_rho_inf of no blocks, p 1": (
+        lambda: in_P_rho_inf([], 1), "base must be an integer >= 2, got 1"),
+    "in_P_rho_0 of no blocks, p 1": (
+        lambda: in_P_rho_0([], 1), "base must be an integer >= 2, got 1"),
 }
 
 
