@@ -121,12 +121,13 @@ _SINGLES = _Singles()  # the digit table of every base past 256
 
 def _digit_table(p, k):
     """Block b in 0..p**k - 1 -> its k base-p digits: for p <= 256 the
-    memoized ``_byte_table``; past 256, k = 1 and every base shares
-    _SINGLES, so a sweep over large primes keeps nothing."""
+    memoized ``_byte_table``, which keeps the 16 most recently used; past
+    256, k = 1 and every base shares _SINGLES, so a sweep over large primes
+    keeps nothing."""
     return _byte_table(p, k) if p <= 256 else _SINGLES
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _byte_table(p, k):
     """Block b in 0..p**k - 1 -> its k base-p digits as bytes (p <= 256,
     and k > 1 only when p <= 64), leading digit first."""

@@ -162,10 +162,10 @@ def _positive(value, flag, key):
     return value
 
 
-# One input: its key in the input echo, its argparse help and type, its
-# normalizer norm(value, flag, key), and its value when absent (None makes
-# absence an error).  The job file uses the flag name as its key.
-_Flag = namedtuple("_Flag", "key help type norm default", defaults=(None,))
+# One option: its key in the input echo (None for --job and --format, which are
+# not inputs), argparse help, type and choices, normalizer norm(value, flag, key)
+# and value when absent (None makes absence an error).  Job keys are flag names.
+_Flag = namedtuple("_Flag", "key help type norm default choices", defaults=(None, None))
 
 _FLAGS = {
     "vars": _Flag("variables", "comma-separated variable names", str, _norm_strings),
@@ -190,6 +190,9 @@ _FLAGS = {
         int,
         _at_least(1),
     ),
+    "job": _Flag(None, "JSON job file; flags win on conflict", None, None),
+    "format": _Flag(None, "output format (default json)", None, None,
+                    choices=("json", "text")),
     **{field: _Flag(field, None, int, _positive) for field in _BUDGET_FIELDS},
 }
 
@@ -388,30 +391,12 @@ def _cmd_witness(inp):
     return coefficient_witness(inp.generators, inp.p, inp.e, inp.budgets).to_json_dict()
 
 
-# One option of a subcommand's parser: its dest, its argparse type (None
-# keeps the text), choices and help.
-_Option = namedtuple("_Option", "dest type choices help")
-
-_FORMATS = ("json", "text")  # the choices of --format
-
-
-def _flag_options(flags):
-    return {_flag(name): _Option(name, _FLAGS[name].type, None, _FLAGS[name].help)
-            for name, _ in flags}
-
-
-# Subcommand name -> option string -> _Option, in the order its parser
-# adds them: its flags, --job, --format, then the budget flags, as -h and
-# usage lines list them (argparse prints options in the order they are added).
-_OPTIONS = {
-    command: {
-        **_flag_options(flags),
-        "--job": _Option("job", None, None, "JSON job file; flags win on conflict"),
-        "--format": _Option("format", None, _FORMATS, "output format (default json)"),
-        **_flag_options(_BUDGET_FLAGS),
-    }
-    for command, (_, flags, _) in _COMMANDS.items()
-}
+# Subcommand name -> option string -> (flag name, _FLAGS entry), in the order
+# its parser adds them and so -h and usage lines list them: its flags, --job,
+# --format, then the budget flags.
+_OPTIONS = {command: {_flag(name): (name, _FLAGS[name])
+                      for name in (*dict(flags), "job", "format", *_BUDGET_FIELDS)}
+            for command, (_, flags, _) in _COMMANDS.items()}
 
 
 @functools.cache
@@ -431,7 +416,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for command, (help_text, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
-        for option, spec in _OPTIONS[command].items():
+        for option, (_, spec) in _OPTIONS[command].items():
             cmd.add_argument(option, type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
@@ -556,11 +541,11 @@ def _canonical(argv):
     options = _OPTIONS.get(argv[0]) if argv else None
     if options is None:
         return None
-    values = {spec.dest: None for spec in options.values()}
+    values = dict.fromkeys(name for name, _ in options.values())
     tokens = iter(argv[1:])
     for token in tokens:
         option, equals, value = token.partition("=")
-        spec = options.get(option)
+        name, spec = options.get(option, (None, None))
         if not equals:
             value = next(tokens, "")
         if spec is None or not value or not equals and value[0] == "-":
@@ -572,7 +557,7 @@ def _canonical(argv):
                 return None
         elif spec.choices and value not in spec.choices:
             return None
-        values[spec.dest] = value
+        values[name] = value
     return argparse.Namespace(command=argv[0], **values)
 
 
@@ -610,7 +595,7 @@ def _run(argv):
         "version": __version__,
     }
     out_format = args.format or job.get("format")
-    if out_format not in (None, *_FORMATS):
+    if out_format not in (None, *_FLAGS["format"].choices):
         raise InputError("job format must be 'json' or 'text'")
     if out_format == "text":
         sys.stdout.write(_render_text(payload))

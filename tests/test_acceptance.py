@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -311,3 +312,20 @@ def test_readme_library_example():
     example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     assert "nu(" in example
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_command_line_examples(capsys):
+    # each `$ fptcert ...` example of the README's Command line section
+    # prints the result shown under it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n### ", 1)[0]
+    examples = re.findall(r"^\$ fptcert ([^\n]*)\n(.*?)(?=^\$|^```)", section,
+                          re.M | re.S)
+    assert [line.split()[0] for line, _ in examples] == [
+        "fpt-bound", "nu", "carry", "fvol-count"]
+    for line, shown in examples:
+        start = shown.index('"result": ') + len('"result": ')
+        expected, _ = json.JSONDecoder().raw_decode(shown, start)
+        code, payload = run_json(capsys, *shlex.split(line))
+        assert code == 0, line
+        assert payload["result"] == expected, line

@@ -1,5 +1,6 @@
 """Command-line driver: JSON envelope, job files, formats, exit codes."""
 
+import argparse
 import importlib.metadata
 import json
 import os
@@ -941,6 +942,55 @@ def test_a_canonical_call_builds_no_parser(capsys):
         main(["fpt-bound", *PAIR, "--p", "x"])  # argparse words the refusal
     assert "invalid int value: 'x'" in capsys.readouterr().err
     assert _build_parser.cache_info().currsize == 1
+
+
+# Each subcommand parser's actions as (option strings, dest, type, choices,
+# help), written out by hand: the parser and the canonical reader are both
+# built from the CLI's option table, so only a literal pin sees an option
+# of that table lost, reordered or re-typed.
+_HELP = (("-h", "--help"), "help", None, None, "show this help message and exit")
+_VARS = (("--vars",), "vars", str, None, "comma-separated variable names")
+_GENS = (("--gens",), "gens", str, None, "comma-separated polynomial generators")
+_IDEALS = (("--ideals",), "ideals", str, None,
+           "';'-separated ideals, each a comma-separated list")
+_P = (("--p",), "p", int, None, "prime characteristic")
+_E = (("--e",), "e", int, None, "Frobenius exponent")
+_E_MAX = (("--e-max",), "e_max", int, None, "largest exponent")
+_SHARED = (
+    (("--job",), "job", None, None, "JSON job file; flags win on conflict"),
+    (("--format",), "format", None, ("json", "text"), "output format (default json)"),
+    (("--max-multisets",), "max_multisets", int, None, None),
+    (("--max-terms",), "max_terms", int, None, None),
+    (("--max-dimension",), "max_dimension", int, None, None),
+)
+PARSER_ACTIONS = {
+    "polytope": (_VARS, _GENS, _P),
+    "digits": ((("--alpha",), "alpha", str, None, "rational in (0, 1]"), _P,
+               (("--count",), "count", int, None, "digits to print (default 12)")),
+    "carry": ((("--block",), "block", str, None, "comma-separated rationals"), _P),
+    "fpt-bound": (_VARS, _GENS, _P),
+    "nu": (_VARS, _GENS, _P, _E),
+    "fpt-estimate": (_VARS, _GENS, _P, _E_MAX),
+    "classify": (_VARS, _GENS),
+    "verify-prime": (_VARS, _GENS, _P),
+    "fvol-bound": (_VARS, _GENS, _P, (
+        ("--counts-e-max",), "counts_e_max", int, None,
+        "also run the brute-force counter up to this exponent")),
+    "fvol-count": (_VARS, _IDEALS, _P, _E),
+    "fvol-estimate": (_VARS, _IDEALS, _P, _E_MAX),
+    "witness": (_VARS, _GENS, _P, _E),
+}
+
+
+def test_subcommand_parsers_hold_the_pinned_actions():
+    (commands,) = (action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert list(commands.choices) == list(PARSER_ACTIONS)
+    for command, own in PARSER_ACTIONS.items():
+        actions = [(tuple(action.option_strings), action.dest, action.type,
+                    action.choices, action.help)
+                   for action in commands.choices[command]._actions]
+        assert actions == [_HELP, *own, *_SHARED], command
 
 
 def test_console_script_runs(tmp_path):

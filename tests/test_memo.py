@@ -13,6 +13,7 @@ as with a fresh solve, parse and certificate on every call."""
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,22 @@ def test_memo_is_bounded():
         period = [(q - 1) // 3] if q % 3 == 1 else [(q - 2) // 3, (2 * q - 1) // 3]
         assert _walk(Fraction(1, 3), q) == ((), period)
     assert _byte_table.cache_info().currsize == kept
+    # of the bases up to 256 it keeps the 16 tables used last: a sweep of
+    # three long periods over every base reads 255 of them.  Each walk stops
+    # on its budget right after reading its table, so the sweep builds the
+    # tables of the whole walks without paying for those under tracemalloc
+    _byte_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in range(2, 257):
+            for d in (5003, 12297, 8209):
+                with pytest.raises(BudgetExceeded):
+                    _walk(Fraction(1, d), q, Meter(Budgets(max_multisets=1)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _byte_table.cache_info()[1:] == (255, 16, 16)  # misses, maxsize, currsize
+    assert held < 2**20  # 6.6 MiB when every table is kept
 
 
 def test_parse_memo_hits_repeats_within_its_bound():
