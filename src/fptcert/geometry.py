@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
 )
 from .polyring import Polynomial, grlex_key
-from .simplex import _Dictionary, _optimal_dictionary, solve_lp
+from .simplex import _Dictionary, _optimal_dictionary, _tied, solve_lp
 
 @dataclass(frozen=True)
 class ReducedMapping:
@@ -290,16 +290,7 @@ def vertices(matrix, budgets=None):
                 point[vid] = b
         found.add((dictionary.d, *point))
         for col, (entering, column) in enumerate(zip(dictionary.nonbasic, columns)):
-            # the rows tied at the least ratio rhs[i] / -column[i], column[i] < 0
-            tied, b, a = [], 1, 0  # the least ratio so far is b / -a (none: 1 / 0)
-            for i, entry in enumerate(column):
-                if entry < 0:
-                    gap = b * entry - rhs[i] * a
-                    if gap < 0:
-                        tied, b, a = [i], rhs[i], entry
-                    elif gap == 0:
-                        tied.append(i)
-            for i in tied:
+            for i in _tied(rhs, column):
                 basis = key ^ 1 << basic[i] ^ 1 << entering
                 if basis not in seen:
                     seen.add(basis)

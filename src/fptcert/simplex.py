@@ -41,13 +41,8 @@ class _Dictionary:
         self.units = units or {}
 
     @property
-    def obj(self):
-        """The objective row as Fractions (a read-only copy)."""
-        return tuple(Fraction(v, self.scale * self.d) for v in self.z)
-
-    @property
     def optimum(self):
-        """The objective value at the basic solution, obj[0]."""
+        """The objective value at the basic solution."""
         return Fraction(self.z[0], self.scale * self.d)
 
     def pivot(self, row_index, col_index):
@@ -77,17 +72,10 @@ class _Dictionary:
             if not entering:
                 return
             enter = min(entering)[1]
-            best = None  # the row of the least ratio row[0] / -row[1 + enter]
-            for i, row in enumerate(self.rows):
-                a = row[1 + enter]
-                if a < 0:
-                    b = self.rows[best] if best is not None else None
-                    gap = -1 if b is None else b[0] * a - row[0] * b[1 + enter]
-                    if gap < 0 or gap == 0 and self.basic[i] < self.basic[best]:
-                        best = i
-            if best is None:
+            tied = _tied([row[0] for row in self.rows], [row[1 + enter] for row in self.rows])
+            if not tied:
                 raise LpUnbounded("objective is unbounded")
-            self.pivot(best, enter)
+            self.pivot(min(tied, key=self.basic.__getitem__), enter)
 
     def maximize(self, c):
         """Optimize sum c[v] x_v (c: variable id -> int or Fraction
@@ -130,6 +118,19 @@ class _Dictionary:
         cost = dict(zip(self.nonbasic, self.z[1:]))
         unit = self.scale * self.d
         return [Fraction(-cost.get(vid, 0) * self.units.get(vid, 1), unit) for vid in vids]
+
+
+def _tied(rhs, column):
+    """The rows tied at the least ratio rhs[i] / -column[i], column[i] < 0."""
+    tied, b, a = [], 1, 0  # the least ratio so far is b / -a (none: 1 / 0)
+    for i, entry in enumerate(column):
+        if entry < 0:
+            gap = b * entry - rhs[i] * a
+            if gap < 0:
+                tied, b, a = [i], rhs[i], entry
+            elif gap == 0:
+                tied.append(i)
+    return tied
 
 
 def _eliminate(target, new, col, d, pivot_d):

@@ -19,7 +19,6 @@ from fptcert.budgets import Budgets
 from fptcert.cli import (
     _COMMANDS,
     _FLAGS,
-    _OPTIONS,
     _build_parser,
     _flag,
     _norm_fraction,
@@ -896,6 +895,14 @@ def test_dispatch_matches_the_top_level_parser(capsys, argv):
         assert expected == (0, "fptcert 0.1.0\n", "")
 
 
+# Every option string of every command, written out by hand like
+# PARSER_ACTIONS below, so an edit to the CLI's option table leaves the
+# seeded argvs as they are.
+EVERY_OPTION = ("--vars", "--gens", "--ideals", "--p", "--e", "--e-max", "--alpha", "--block",
+                "--count", "--counts-e-max", "--job", "--format", "--max-multisets",
+                "--max-terms", "--max-dimension")
+
+
 def _seeded_argvs(rng, count):
     """Argvs of one command drawn from its option strings, their prefixes,
     options of other commands and stray tokens, each option as --flag=value
@@ -904,8 +911,10 @@ def _seeded_argvs(rng, count):
     values = ("5", "-5", "", "x", "json", "text", "xml", "a=b", "-x", "5e", " 7", "0")
     argvs = []
     for _ in range(count):
-        command = rng.choice(sorted(_COMMANDS))
-        options = list(_OPTIONS[command]) + [_flag(name) for name in _FLAGS]
+        command = rng.choice(sorted(PARSER_ACTIONS))
+        own = [option for strings, *_ in (*PARSER_ACTIONS[command], *_SHARED)
+               for option in strings]
+        options = own + list(EVERY_OPTION)
         argv = [command]
         for _ in range(rng.randint(0, 5)):
             option = rng.choice(options)

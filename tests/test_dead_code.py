@@ -1,8 +1,9 @@
-"""The package carries no dead names: every import is used, and every
+"""The package carries no dead names: every import is used, every
 private top-level function, class or assigned name is referenced
-somewhere in it."""
+somewhere in it, and every method of a private class is read by it."""
 
 import ast
+import collections
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fptcert"
@@ -74,6 +75,31 @@ def test_every_private_assignment_is_read():
                     continue
                 if not any(var in names for top, names in reads if top is not node):
                     unread.append("%s:%d assigns %s" % (name, node.lineno, var))
+    assert unread == []
+
+
+def _attribute_reads(node):
+    """Every attribute name read (not stored) below ``node``."""
+    return [sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+
+
+def test_every_private_class_method_is_read():
+    # a method or property that only tests read is surface the package does
+    # not need; dunders are read by the language, not by name
+    trees = _trees()
+    reads = collections.Counter(attr for tree in trees.values() for attr in _attribute_reads(tree))
+    unread = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not cls.name.startswith("_"):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                # reads inside the method's own body do not count
+                if reads[method.name] == _attribute_reads(method).count(method.name):
+                    unread.append("%s:%d %s.%s" % (name, method.lineno, cls.name, method.name))
     assert unread == []
 
 

@@ -1,14 +1,16 @@
 """Exact simplex solver: known optima, failure modes, and a brute-force
 vertex cross-check on random bounded programs."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fptcert import simplex
 from fptcert.errors import FptcertError
-from fptcert.simplex import LpInfeasible, LpUnbounded, _optimal_dictionary, solve_lp
+from fptcert.simplex import LpInfeasible, LpUnbounded, _optimal_dictionary, _tied, solve_lp
 
 
 def F(x):
@@ -217,7 +219,90 @@ def test_random_programs_dual_from_optimal_dictionary():
         for j in range(n):
             assert sum(row[j] * v for row, v in zip(lhs, y)) >= objective[j]
         value = sum(b * v for b, v in zip(rhs, y))
-        assert value == dictionary.obj[0] == _brute_force_max(objective, lhs, rhs)
+        assert value == dictionary.optimum == _brute_force_max(objective, lhs, rhs)
         assert (value, dictionary.values(range(n))) == solve_lp(objective, lhs, rhs)
         checked += 1
     assert checked >= 60
+
+
+# --- the ratio test, against the two loops it replaced ----------------------
+
+
+def _reference_bland_row(rows, basic, enter):
+    """The leaving row ``_Dictionary.optimize`` picked with its own loop:
+    the least ratio row[0] / -row[1 + enter], ties to the least basic id."""
+    best = None  # the row of the least ratio row[0] / -row[1 + enter]
+    for i, row in enumerate(rows):
+        a = row[1 + enter]
+        if a < 0:
+            b = rows[best] if best is not None else None
+            gap = -1 if b is None else b[0] * a - row[0] * b[1 + enter]
+            if gap < 0 or gap == 0 and basic[i] < basic[best]:
+                best = i
+    return best
+
+
+def _reference_vertex_ties(rhs, column):
+    """The tie list ``vertices`` built with its own loop."""
+    # the rows tied at the least ratio rhs[i] / -column[i], column[i] < 0
+    tied, b, a = [], 1, 0  # the least ratio so far is b / -a (none: 1 / 0)
+    for i, entry in enumerate(column):
+        if entry < 0:
+            gap = b * entry - rhs[i] * a
+            if gap < 0:
+                tied, b, a = [i], rhs[i], entry
+            elif gap == 0:
+                tied.append(i)
+    return tied
+
+
+def _ratio_cases(seed, count):
+    """Seeded (rhs, column, basic): rhs >= 0 in int dictionary rows, the
+    column's entries from -4 to 3, so some columns have no negative entry,
+    many rows tie at ratio 0 (zero rhs) and many at a positive ratio (rhs
+    a multiple of -entry); ``basic`` are distinct ids from 1 up."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(0, 7)
+        column = [rng.randint(-4, 3) for _ in range(m)]
+        shape = rng.randrange(3)
+        rhs = [
+            0 if shape == 0 and rng.random() < 0.5
+            else -a * rng.randint(1, 2) if shape == 1 and a < 0
+            else rng.randint(0, 9)
+            for a in column
+        ]
+        yield rhs, column, rng.sample(range(1, 3 * m + 2), m)
+
+
+def test_ratio_test_matches_both_loops_it_replaced(monkeypatch):
+    class Picked(Exception):
+        pass
+
+    def pivot(dictionary, row_index, col_index):
+        raise Picked(row_index)
+
+    monkeypatch.setattr(simplex._Dictionary, "pivot", pivot)
+    seen = collections.Counter()
+    for rhs, column, basic in _ratio_cases(20261022, 3000):
+        tied = _tied(rhs, column)
+        assert tied == _reference_vertex_ties(rhs, column)
+        rows = [[b, a] for b, a in zip(rhs, column)]
+        expected = _reference_bland_row(rows, basic, 0)
+        # optimize enters id 0, the only nonbasic column, and leaves on the
+        # least basic id among the tied rows
+        dictionary = simplex._Dictionary([0], list(basic), rows, z=[0, 1])
+        if expected is None:
+            with pytest.raises(LpUnbounded):
+                dictionary.optimize()
+            assert tied == []
+            seen["unbounded"] += 1
+            continue
+        with pytest.raises(Picked) as picked:
+            dictionary.optimize()
+        assert picked.value.args == (expected,)
+        assert expected == min(tied, key=basic.__getitem__)
+        if len(tied) > 1:
+            seen["tie at 0" if rhs[tied[0]] == 0 else "tie above 0"] += 1
+        seen["bounded"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen

@@ -11,8 +11,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fptcert"
 
-MAX_LINES = 3278
-MAX_CODE_LINES = 2132
+MAX_LINES = 3270
+MAX_CODE_LINES = 2124
 
 # tokens that are not code: a comment, or layout
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
