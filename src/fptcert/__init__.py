@@ -18,7 +18,6 @@ from .basep import (
     in_P_rho_0,
     in_P_rho_inf,
     is_prime,
-    multinomial_nonzero_mod_p,
     truncation,
 )
 from .budgets import Budgets, Meter
@@ -31,7 +30,6 @@ from .errors import (
     HypothesisError,
     InputError,
     NonUniqueMaximalPoint,
-    NotDiagonal,
     NotInMaximalIdeal,
     ParseError,
     RingMismatch,
@@ -42,19 +40,13 @@ from .fvolume import (
     fvolume_estimate,
     fvolume_lower_bound,
     fvolume_points,
-    term_ideal_volume_bound,
-    volume_witness_floor,
 )
 from .geometry import (
     ExponentMatrix,
     MaximalPointCert,
     ReducedMapping,
-    diagonal_face_columns,
-    diagonal_position,
     exponent_matrix,
-    lp_maximize,
     maximal_point,
-    newton_min_diagonal,
     reduce_generators,
     vertices,
 )
@@ -63,14 +55,10 @@ from .polyring import (
     IntegersMod,
     Polynomial,
     Rationals,
-    coefficient_of,
-    format_polynomial,
-    in_frobenius_power,
     parse_polynomial,
     reduce_mod_p,
-    support,
 )
-from .simplex import LpInfeasible, LpUnbounded, solve_lp
+from .simplex import LpUnbounded
 from .thresholds import (
     FptCertificate,
     LctVerdict,
@@ -80,7 +68,6 @@ from .thresholds import (
     fpt_bound,
     fpt_estimate,
     lct_fpt_classifier,
-    monomial_fpt,
     newton_polyhedron_preserved,
     nu,
     verify_prime,

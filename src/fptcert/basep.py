@@ -396,21 +396,6 @@ def _lucas(parts, p):
     return (math.prod(map(math.comb, itertools.accumulate(c), c)) % p for c in columns)
 
 
-def multinomial_nonzero_mod_p(total, parts, p):
-    """Whether the multinomial coefficient (total; parts) is nonzero
-    mod p, decided digit-wise: by Lucas the coefficient is a unit
-    exactly when adding the parts in base p produces no carry
-    (``_lucas``).  No factorials are computed."""
-    _check_base(p)
-    _check_int(total, "total", 0)
-    parts = _sequence(parts, "parts")
-    for x in parts:
-        _check_int(x, "part", 0)
-    if total != sum(parts):
-        raise InputError("parts must sum to total")
-    return _lucas(parts, p) is not None
-
-
 def in_P_rho_0(blocks, p):
     """First-digit criterion: every block's first digits sum to at
     least p.  Each block must have coordinate sum exceeding 1, which

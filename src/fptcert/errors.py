@@ -70,11 +70,6 @@ class NonUniqueMaximalPoint(HypothesisError):
         super().__init__(message)
 
 
-class NotDiagonal(HypothesisError):
-    """The diagonal ray misses every compact face of the Newton
-    polyhedron, so face-column extraction does not apply."""
-
-
 class BudgetExceeded(FptcertError):
     """A work meter ran past its configured cap (exit code 4)."""
 

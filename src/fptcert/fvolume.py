@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import exponent_matrix, reduce_generators, vertices
-from .thresholds import (
-    _block_floors,
-    _escape_set,
-    _json_fields,
-    _ladder,
-    fpt_bound,
-)
+from .thresholds import _escape_set, _json_fields, _ladder, fpt_bound
 
 
 @dataclass(frozen=True)
@@ -71,41 +64,8 @@ def fvolume_count(ideals, e, budgets=None):
     return _escape_set(ideals, e, budgets).size
 
 
-def volume_witness_floor(certificate, scan_level):
-    """Per-level floor certified by the digit construction behind the
-    bound: Card V(p**E) >= p**(E t) * volume_witness_floor(cert, E).
-
-    Per block the factor is |<rho_i>_E| while still carry-free at E,
-    and |<rho_i>_{S_i}| + (p**(E - S_i) - 1) / p**E past a finite
-    horizon; the box below the witness tuple lies inside V(p**E) by
-    downward closure.
-    """
-    return math.prod(
-        _block_floors(
-            certificate.p, certificate.rho_blocks, certificate.horizons, scan_level
-        )
-    )
-
-
 def fvolume_estimate(ideals, p, e_max, budgets=None):
     """Rows (e, Card V(p^e), Card V(p^e) / p**(e t)) for e = 1..e_max
     (thresholds._ladder)."""
     return [(e, n, Fraction(n, q)) for e, n, q in _ladder(ideals, p, e_max, budgets)]
 
-
-def term_ideal_volume_bound(generators, budgets=None):
-    """Candidate bound for the volume of the tuple of term ideals
-    spanned by the blocks: the best product of block sums over the
-    polytope vertices, which include a unique maximal point.  The true value
-    maximizes the product over the whole polytope, so this is a lower
-    bound certified only at the evaluated points.
-
-    Returns (bound, witness point).
-    """
-    matrix = exponent_matrix(reduce_generators(generators))
-
-    def value(point):
-        return math.prod(sum(block) for block in matrix.split(point))
-
-    witness = max(vertices(matrix, budgets), key=value)  # the first best vertex
-    return value(witness), witness

@@ -1,4 +1,5 @@
-"""Splitting polytopes, exponent matrices, and Newton polyhedron duality.
+"""Splitting polytopes and exponent matrices: the maximal point of the
+coordinate sum, with its dual certificate, and the polytope's vertices.
 
 The reduced support list of generators (f_1, ..., f_t) drops from each
 f_i every monomial that already appeared in an earlier generator,
@@ -21,12 +22,11 @@ from .errors import (
     EmptyBlock,
     FptcertError,
     InputError,
-    NotDiagonal,
     NotInMaximalIdeal,
     RingMismatch,
 )
 from .polyring import Polynomial, grlex_key
-from .simplex import _Dictionary, _optimal_dictionary, _tied, solve_lp
+from .simplex import _Dictionary, _optimal_dictionary, _tied
 
 @dataclass(frozen=True)
 class ReducedMapping:
@@ -152,15 +152,6 @@ def exponent_matrix(mapping):
         columns=columns,
         block_sizes=mapping.block_sizes,
     )
-
-
-def lp_maximize(objective, matrix):
-    """Maximize objective.gamma over the splitting polytope of
-    ``matrix``.  Returns (value, gamma) at a vertex."""
-    if len(objective) != matrix.width:
-        raise InputError("objective length does not match the matrix width")
-    value, gamma = solve_lp(objective, matrix.rows, [1] * matrix.varcount)
-    return value, tuple(gamma)
 
 
 @dataclass(frozen=True)
@@ -302,67 +293,3 @@ def vertices(matrix, budgets=None):
     fraction = {n: Fraction(n, common) for n in set(itertools.chain(*order))}  # one per value
     return [tuple(map(fraction.get, point)) for point in order]
 
-
-def _support_rows(supports):
-    """Validate a support set and return (rows, width) of E, whose
-    columns are its distinct points in sorted order."""
-    cleaned = set()
-    for vector in _sequence(supports, "supports"):
-        vector = _sequence(vector, "support vector")
-        if any(type(v) is not int or v < 0 for v in vector):
-            raise InputError("support vectors must have nonnegative integer entries")
-        if not any(vector):
-            raise NotInMaximalIdeal("support contains the zero vector")
-        cleaned.add(vector)
-    if not cleaned:
-        raise InputError("at least one support vector is required")
-    lengths = {len(v) for v in cleaned}
-    if len(lengths) != 1:
-        raise InputError("support vectors have mixed lengths")
-    return tuple(zip(*sorted(cleaned))), len(cleaned)
-
-
-def _diagonal_face(rows, width):
-    """The optimal points mu of ``_optimal_face`` with every row tight,
-    E mu = 1: those are M times the convex combinations of the columns
-    equal to (1/M, ..., 1/M) (``newton_min_diagonal``).  Returns the face
-    dictionary restricted to them, or None when there are none."""
-    face = _optimal_face(rows, width)[0]
-    if face.maximize(dict.fromkeys(range(width, width + len(rows)), -1)) != 0:
-        return None
-    reduced = face.duals(face.nonbasic)
-    face.restrict({v for v, r in zip(face.nonbasic, reduced) if r == 0})
-    return face
-
-
-def newton_min_diagonal(supports):
-    """The smallest s with (s, ..., s) inside the Newton polyhedron of
-    the support set, 1 / M for the maximum M of |mu| over
-    {mu >= 0 : E mu <= 1}, the points the columns of E: writing
-    mu = lambda / s turns {lambda >= 0 : sum lambda = 1,
-    sum lambda_a a <= s (1, ..., 1)} into that polytope with |mu| = 1 / s."""
-    return 1 / _optimal_face(*_support_rows(supports))[1]
-
-
-def diagonal_position(supports):
-    """Whether the diagonal ray meets a compact face of the Newton
-    polyhedron: the point s* (1, ..., 1) must be a convex combination
-    of the support vectors themselves, with no recession part."""
-    return _diagonal_face(*_support_rows(supports)) is not None
-
-
-def diagonal_face_columns(matrix):
-    """Indices (0-based) of the columns lying on the face cut out by
-    the diagonal ray.  Column j belongs to the face exactly when some
-    convex combination hitting s* (1, ..., 1) gives it positive weight,
-    an LP optimum over the matrix's own rows.
-    Raises NotDiagonal when the ray meets no compact face."""
-    if len(set(matrix.columns)) != matrix.width:
-        raise InputError("exponent matrix columns must be distinct")
-    _support_rows(matrix.columns)
-    face = _diagonal_face(matrix.rows, matrix.width)
-    if face is None:
-        raise NotDiagonal(
-            "the diagonal ray misses every compact face of the Newton polyhedron"
-        )
-    return tuple(j for j in range(matrix.width) if face.maximize({j: 1}) > 0)

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basep import _check_int, _check_prime
+from .basep import _check_prime
 from .errors import (
     DenominatorDivisibleByP,
     InputError,
@@ -86,7 +86,8 @@ class Polynomial:
 
     The constructor is the one place that normalizes coefficients: it
     coerces each through ``ring.coerce`` and drops the zeros, so the
-    arithmetic passes it plain, unreduced ints or Fractions."""
+    product, ``reduce_mod_p`` and the parser pass it plain, unreduced
+    ints or Fractions."""
 
     __slots__ = ("ring", "varcount", "terms", "_hash")
 
@@ -106,14 +107,6 @@ class Polynomial:
         self.terms = clean
         self._hash = None
 
-    @classmethod
-    def zero(cls, ring, varcount):
-        return cls(ring, varcount, {})
-
-    @classmethod
-    def one(cls, ring, varcount):
-        return cls(ring, varcount, {(0,) * varcount: 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -129,21 +122,6 @@ class Polynomial:
                 "variable counts differ: %d vs %d" % (self.varcount, other.varcount)
             )
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            terms[mon] = terms.get(mon, 0) + c
-        return Polynomial(self.ring, self.varcount, terms)
-
-    def __neg__(self):
-        return Polynomial(
-            self.ring, self.varcount, {mon: -c for mon, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check_compatible(other)
         terms = {}
@@ -152,9 +130,6 @@ class Polynomial:
                 mon = tuple(a + b for a, b in zip(mon1, mon2))
                 terms[mon] = terms.get(mon, 0) + c1 * c2
         return Polynomial(self.ring, self.varcount, terms)
-
-    def __pow__(self, n):
-        return poly_pow(self, n)
 
     def __eq__(self, other):
         return (
@@ -169,27 +144,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.ring, self.varcount, frozenset(self.terms.items())))
         return self._hash
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(mon) for mon in self.terms)
-
-    def __repr__(self):
-        return "Polynomial(%r, %s)" % (self.ring, format_polynomial(self))
-
-
-def poly_pow(a, n):
-    """a**n for an integer n >= 0; a**0 is the constant 1."""
-    _check_int(n, "exponent", 0)
-    result = Polynomial.one(a.ring, a.varcount)
-    while n:  # repeated squaring
-        if n & 1:
-            result = result * a
-        n >>= 1
-        if n:
-            a = a * a
-    return result
 
 
 class _Box:
@@ -258,27 +212,6 @@ def reduce_mod_p(a, p):
     if a.ring != QQ:
         raise RingMismatch("reduce_mod_p expects rational coefficients")
     return Polynomial(IntegersMod(p), a.varcount, a.terms)
-
-
-def support(a):
-    """The set of exponent tuples with nonzero coefficient."""
-    return frozenset(a.terms)
-
-
-def coefficient_of(a, monomial):
-    """Coefficient of the given exponent tuple (ring zero if absent)."""
-    return a.terms.get(_check_monomial(monomial, a.varcount), a.ring.coerce(0))
-
-
-def in_frobenius_power(a, e):
-    """True when every term of ``a`` lies in (x_1**q, ..., x_m**q) for
-    q = p**e, i.e. each monomial has some exponent >= q.  The zero
-    polynomial is contained in every ideal."""
-    if not isinstance(a.ring, IntegersMod):
-        raise RingMismatch("Frobenius powers are tested over GF(p)")
-    _check_int(e, "e")
-    q = a.ring.p**e
-    return all(any(exp >= q for exp in mon) for mon in a.terms)
 
 
 # --- parsing -------------------------------------------------------------
@@ -378,47 +311,3 @@ def parse_polynomial(text, variables):
         if sign not in ("+", "-"):
             raise ParseError("unexpected character %r" % sign[0], start)
 
-
-def format_polynomial(a, variables=None):
-    """Deterministic text form.
-
-    Terms are ordered by ascending total degree with descending
-    lexicographic tie-break, matching the column order used for
-    exponent matrices.  ``parse_polynomial`` accepts the output.
-    """
-    if variables is None:
-        variables = tuple("x%d" % (i + 1) for i in range(a.varcount))
-    else:
-        variables = tuple(variables)
-        if len(variables) != a.varcount:
-            raise InputError(
-                "%d variable names supplied for %d variables"
-                % (len(variables), a.varcount)
-            )
-    if not a.terms:
-        return "0"
-
-    def render(mon, coeff):
-        factors = []
-        for name, exp in zip(variables, mon):
-            if exp == 1:
-                factors.append(name)
-            elif exp > 1:
-                factors.append("%s^%d" % (name, exp))
-        body = "*".join(factors)
-        if not body:
-            return str(coeff)
-        if coeff == 1:
-            return body
-        return "%s*%s" % (coeff, body)
-
-    pieces = []
-    for mon in sorted(a.terms, key=grlex_key):
-        coeff = a.terms[mon]
-        negative = isinstance(coeff, Fraction) and coeff < 0
-        text = render(mon, -coeff if negative else coeff)
-        if not pieces:
-            pieces.append("-" + text if negative else text)
-        else:
-            pieces.append(("- " if negative else "+ ") + text)
-    return " ".join(pieces)

@@ -1,6 +1,6 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact simplex over the rationals, one phase from the feasible origin.
 
-Solves max c.x subject to A x <= b, x >= 0 on a fraction-free
+Solves max c.x subject to A x <= b, x >= 0, b >= 0, on a fraction-free
 dictionary: int rows over one common denominator, the basis determinant
 (integer-preserving elimination, Bareiss 1968).  Bland's rule is used
 for both the entering and the leaving variable, so the method terminates
@@ -12,10 +12,6 @@ import math
 from fractions import Fraction
 
 from .errors import FptcertError, InputError
-
-
-class LpInfeasible(FptcertError):
-    """The constraint system has no nonnegative solution."""
 
 
 class LpUnbounded(FptcertError):
@@ -104,7 +100,7 @@ class _Dictionary:
 
     def copy(self):
         # pivot, maximize and restrict build new row lists and a new z rather
-        # than edit them (only _phase_one appends, before any copy): share them
+        # than edit them: share them
         return _Dictionary(list(self.nonbasic), list(self.basic), list(self.rows), self.d,
                            self.z, self.scale, self.units)
 
@@ -143,16 +139,6 @@ def _eliminate(target, new, col, d, pivot_d):
     return out
 
 
-def solve_lp(objective, lhs, rhs):
-    """Maximize objective.x subject to lhs x <= rhs, x >= 0.
-
-    Returns (optimal value, x) as Fractions.  Raises LpInfeasible or
-    LpUnbounded when appropriate.
-    """
-    dictionary = _optimal_dictionary(objective, lhs, rhs)
-    return dictionary.optimum, dictionary.values(range(len(objective)))
-
-
 def _rational(v):
     """An LP entry, which must be an int (not a bool) or a Fraction."""
     if type(v) is int or isinstance(v, Fraction):
@@ -162,7 +148,8 @@ def _rational(v):
 
 def _optimal_dictionary(objective, lhs, rhs):
     """Optimal dictionary of max objective.x subject to lhs x <= rhs,
-    x >= 0.  Variable ids 0..n-1 are x and n..n+m-1 the row slacks."""
+    x >= 0, for rhs >= 0, so that the slack basis at the origin is
+    feasible.  Variable ids 0..n-1 are x and n..n+m-1 the row slacks."""
     n = len(objective)
     c = [_rational(v) for v in objective]
     if len(rhs) != len(lhs) or any(len(row) != n for row in lhs):
@@ -172,33 +159,8 @@ def _optimal_dictionary(objective, lhs, rhs):
         entries = [_rational(b)] + [-_rational(v) for v in row]
         units[n + i] = k = math.lcm(*(v.denominator for v in entries))
         rows.append([v.numerator * (k // v.denominator) for v in entries])
-    dictionary = _Dictionary(list(range(n)), list(range(n, n + len(rows))), rows, units=units)
     if any(row[0] < 0 for row in rows):
-        _phase_one(dictionary, n + len(rows))
+        raise FptcertError("a negative right-hand side leaves the origin infeasible")
+    dictionary = _Dictionary(list(range(n)), list(range(n, n + len(rows))), rows, units=units)
     dictionary.maximize(dict(enumerate(c)))
     return dictionary
-
-
-def _phase_one(dictionary, aux):
-    """Make the slack dictionary feasible with the auxiliary variable
-    ``aux``, one more int column with coefficient 1 in every original
-    row (k in a row scaled by k), or raise LpInfeasible."""
-    nonbasic, basic, rows = dictionary.nonbasic, dictionary.basic, dictionary.rows
-    units = [dictionary.units[vid] for vid in basic]
-    nonbasic.append(aux)
-    for row, k in zip(rows, units):
-        row.append(k)
-    dictionary.z.append(0)
-    worst = min(range(len(basic)), key=lambda i: (Fraction(rows[i][0], units[i]), basic[i]))
-    dictionary.pivot(worst, len(nonbasic) - 1)
-    if dictionary.maximize({aux: -1}) != 0:
-        raise LpInfeasible("constraints admit no nonnegative solution")
-
-    if aux in basic:
-        # Degenerate optimum: drive the auxiliary variable out (Chvatal,
-        # Linear Programming, 1983).  Its row has a nonzero nonbasic entry:
-        # each slack is basic, a unit column in another row, or nonbasic,
-        # so an all-zero row would be a zero row of B^-1.
-        r = basic.index(aux)
-        dictionary.pivot(r, min((vid, q) for q, vid in enumerate(nonbasic) if rows[r][1 + q])[1])
-    dictionary.restrict(set(nonbasic) - {aux})

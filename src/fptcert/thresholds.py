@@ -42,7 +42,6 @@ from .geometry import (
     _polynomials,
     _solved,
     exponent_matrix,
-    newton_min_diagonal,
     reduce_generators,
 )
 from .polyring import (
@@ -627,13 +626,6 @@ def coefficient_witness(generators, p, e, budgets=None):
         match=expected == actual,
         per_block=tuple(per_block),
     )
-
-
-def monomial_fpt(supports):
-    """Threshold of the monomial ideal spanned by the given exponent
-    vectors: the largest tau with (1, ..., 1) in tau times the Newton
-    polyhedron, i.e. the reciprocal of the diagonal entry point."""
-    return Fraction(1) / newton_min_diagonal(supports)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fptcert import cli
-from fptcert.basep import _lucas, digits, multinomial_nonzero_mod_p
+from fptcert.basep import _lucas, digits
 from fptcert.budgets import Budgets, Meter
 from fptcert.cli import main
 from fptcert.errors import InputError
@@ -53,15 +53,15 @@ def test_lucas_edges():
 
 def test_multinomial_reads_carries_in_composite_base():
     # 1 + 1 + 1 does not carry in base 6, though (3; 1, 1, 1) = 6 = 0 mod 6
-    assert multinomial_nonzero_mod_p(3, [1, 1, 1], 6)
-    assert not multinomial_nonzero_mod_p(6, [3, 3], 6)
+    assert _lucas([1, 1, 1], 6) is not None
+    assert _lucas([3, 3], 6) is None
 
 
 def test_multinomial_large_base_computes_no_binomial():
     # a binomial of this size would take seconds; the carry test needs none
     p = 2**31 - 1
-    assert multinomial_nonzero_mod_p(10**9, [5 * 10**8] * 2, p)
-    assert not multinomial_nonzero_mod_p(2 * p - 2, [p - 1] * 2, p)
+    assert _lucas([5 * 10**8] * 2, p) is not None
+    assert _lucas([p - 1] * 2, p) is None
 
 
 def test_witness_at_e30():

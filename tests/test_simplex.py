@@ -1,5 +1,5 @@
 """Exact simplex solver: known optima, failure modes, and a brute-force
-vertex cross-check on random bounded programs."""
+vertex cross-check on random bounded programs whose origin is feasible."""
 
 import collections
 import itertools
@@ -10,22 +10,29 @@ import pytest
 
 from fptcert import simplex
 from fptcert.errors import FptcertError
-from fptcert.simplex import LpInfeasible, LpUnbounded, _optimal_dictionary, _tied, solve_lp
+from fptcert.simplex import LpUnbounded, _optimal_dictionary, _tied
 
 
 def F(x):
     return Fraction(x)
 
 
+def solve(objective, lhs, rhs):
+    """(optimum, x) of max objective.x subject to lhs x <= rhs, x >= 0,
+    read off the optimal dictionary."""
+    dictionary = _optimal_dictionary(objective, lhs, rhs)
+    return dictionary.optimum, dictionary.values(range(len(objective)))
+
+
 def test_box_maximum():
-    value, x = solve_lp([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
+    value, x = solve([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
     assert value == 2
     assert x == [1, 1]
 
 
 def test_weighted_objective():
     # max 3x + 2y st x + y <= 4, x <= 2
-    value, x = solve_lp(
+    value, x = solve(
         [F(3), F(2)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(2)]
     )
     assert value == 10
@@ -34,45 +41,20 @@ def test_weighted_objective():
 
 def test_unbounded():
     with pytest.raises(LpUnbounded):
-        solve_lp([F(1), F(1)], [[F(1), F(-1)]], [F(1)])
+        solve([F(1), F(1)], [[F(1), F(-1)]], [F(1)])
     with pytest.raises(LpUnbounded):
-        solve_lp([F(1)], [], [])
+        solve([F(1)], [], [])
 
 
-def test_infeasible():
-    with pytest.raises(LpInfeasible):
-        solve_lp([F(1)], [[F(1)]], [F(-1)])  # x <= -1 against x >= 0
-    with pytest.raises(LpInfeasible):
-        # x + y <= 1 and x + y >= 3
-        solve_lp(
-            [F(0), F(0)],
-            [[F(1), F(1)], [F(-1), F(-1)]],
-            [F(1), F(-3)],
-        )
-
-
-def test_negative_rhs_needs_phase_one():
-    # x >= 1/2 encoded as -x <= -1/2
-    value, x = solve_lp(
-        [F(-1)], [[F(-1)], [F(1)]], [Fraction(-1, 2), F(1)]
-    )
-    assert value == Fraction(-1, 2)
-    assert x == [Fraction(1, 2)]
-
-
-def test_equality_via_inequality_pair():
-    value, x = solve_lp(
-        [F(1), F(0)],
-        [[F(1), F(1)], [F(-1), F(-1)]],
-        [F(1), F(-1)],
-    )
-    assert value == 1
-    assert x == [1, 0]
+def test_negative_rhs_is_refused():
+    # the origin must be feasible: there is no phase one
+    with pytest.raises(FptcertError, match="negative right-hand side"):
+        solve([F(-1)], [[F(-1)], [F(1)]], [Fraction(-1, 2), F(1)])
 
 
 def test_degenerate_vertex():
     # three constraints meet at (1, 0); Bland's rule must terminate
-    value, _ = solve_lp(
+    value, _ = solve(
         [F(1), F(1)],
         [[F(1), F(0)], [F(1), F(1)], [F(0), F(1)]],
         [F(1), F(1), F(1)],
@@ -82,11 +64,11 @@ def test_degenerate_vertex():
 
 def test_constraint_shape_must_match():
     with pytest.raises(FptcertError, match="constraint rows do not match"):
-        solve_lp([1, 1], [[1]], [1])
+        solve([1, 1], [[1]], [1])
 
 
 def test_zero_objective_feasibility_probe():
-    value, x = solve_lp([F(0), F(0)], [[F(1), F(2)]], [F(2)])
+    value, x = solve([F(0), F(0)], [[F(1), F(2)]], [F(2)])
     assert value == 0
     assert all(v >= 0 for v in x)
 
@@ -158,9 +140,9 @@ def _random_programs(seed, count):
 def _degenerate_programs(seed, count):
     """Seeded (objective, lhs, rhs) with fractional rows, each repeated
     at 1-2 positive scales and sometimes with its reverse inequality too
-    (an equality), and negative right-hand sides: phase one often ends
-    degenerate, with the auxiliary variable basic at 0.  Box rows keep
-    every instance bounded."""
+    (an equality, feasible at the origin when its right-hand side is 0),
+    and negative right-hand sides.  Box rows keep every instance
+    bounded."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 3)
@@ -190,25 +172,25 @@ def _degenerate_programs(seed, count):
     ids=["random", "degenerate"],
 )
 def test_random_programs_match_vertex_enumeration(programs, seed):
-    for objective, lhs, rhs in programs(seed, 60):
-        expected = _brute_force_max(objective, lhs, rhs)
-        if expected is None:
-            with pytest.raises(LpInfeasible):
-                solve_lp(objective, lhs, rhs)
+    checked = 0
+    for objective, lhs, rhs in programs(seed, 400):
+        if any(b < 0 for b in rhs):
             continue
-        value, x = solve_lp(objective, lhs, rhs)
-        assert value == expected
+        value, x = solve(objective, lhs, rhs)
+        assert value == _brute_force_max(objective, lhs, rhs)
         assert all(v >= 0 for v in x)
         for row, b in zip(lhs, rhs):
             assert sum(c * v for c, v in zip(row, x)) <= b
         assert sum(c * v for c, v in zip(objective, x)) == value
+        checked += 1
+    assert checked >= 60
 
 
 def test_random_programs_dual_from_optimal_dictionary():
     """The negated reduced costs of the slack columns in the optimal
     dictionary are an optimal dual: y >= 0, A^T y >= c, b.y = max."""
     checked = 0
-    # the first 60 are the programs of the vertex-enumeration test above
+    # the programs of the vertex-enumeration test above
     for objective, lhs, rhs in _random_programs(20260816, 200):
         if any(b < 0 for b in rhs):
             continue
@@ -220,7 +202,6 @@ def test_random_programs_dual_from_optimal_dictionary():
             assert sum(row[j] * v for row, v in zip(lhs, y)) >= objective[j]
         value = sum(b * v for b, v in zip(rhs, y))
         assert value == dictionary.optimum == _brute_force_max(objective, lhs, rhs)
-        assert (value, dictionary.values(range(n))) == solve_lp(objective, lhs, rhs)
         checked += 1
     assert checked >= 60
 

@@ -11,8 +11,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fptcert"
 
-MAX_LINES = 3270
-MAX_CODE_LINES = 2124
+MAX_LINES = 2967
+MAX_CODE_LINES = 1937
 
 # tokens that are not code: a comment, or layout
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -12,7 +12,6 @@ from fptcert.basep import (
     digits,
     in_P_rho_0,
     in_P_rho_inf,
-    multinomial_nonzero_mod_p,
     truncation,
 )
 from fptcert.budgets import Budgets
@@ -28,16 +27,11 @@ from fptcert.fvolume import (
     fvolume_estimate,
     fvolume_lower_bound,
     fvolume_points,
-    term_ideal_volume_bound,
-    volume_witness_floor,
 )
-from fptcert.geometry import diagonal_position, newton_min_diagonal
 from fptcert.polyring import (
     QQ,
     Polynomial,
-    in_frobenius_power,
     parse_polynomial,
-    poly_pow,
     reduce_mod_p,
 )
 from fptcert.thresholds import (
@@ -50,7 +44,6 @@ from fptcert.thresholds import (
     fpt_bound,
     fpt_estimate,
     lct_fpt_classifier,
-    monomial_fpt,
     newton_polyhedron_preserved,
     nu,
     verify_prime,
@@ -273,7 +266,7 @@ def test_nu_validation():
         nu([], 1)
     with pytest.raises(RingMismatch):
         nu(pair(), 1)
-    zero = Polynomial.zero(reduce_mod_p(pair()[0], 2).ring, 3)
+    zero = Polynomial(reduce_mod_p(pair()[0], 2).ring, 3, {})
     with pytest.raises(InputError):
         nu([zero], 1)
     constant = reduce_mod_p(parse_polynomial("x+1", XYZ), 2)
@@ -292,14 +285,7 @@ BOOL_EXPONENT_CALLS = {
     "fvolume_estimate": lambda e: fvolume_estimate([pair()], 2, e),
     "coefficient_witness": lambda e: coefficient_witness(pair(), 2, e),
     "truncation": lambda e: truncation(Fraction(2, 3), 2, e),
-    "in_frobenius_power": lambda e: in_frobenius_power(
-        reduce_mod_p(parse_polynomial("x^2", ("x",)), 2), e
-    ),
-    "poly_pow": lambda e: poly_pow(parse_polynomial("x^2", ("x",)), e),
     "witness_floor": lambda e: witness_floor(fpt_bound(pair(), 2), e),
-    "volume_witness_floor": lambda e: volume_witness_floor(
-        fvolume_lower_bound(pair(), 2), e
-    ),
     "digit_at": lambda k: digit_at(Fraction(2, 3), 2, k),
     "DigitStream.digit": lambda k: digits(Fraction(2, 3), 2).digit(k),
 }
@@ -389,18 +375,6 @@ def test_coefficient_witness_principal():
     assert scaled.expected == pow(2, 4, 5)
     with pytest.raises(InputError):
         coefficient_witness(pair(), 7, 0)
-
-
-def test_monomial_fpt_frozen():
-    from fptcert.polyring import support
-
-    union = set()
-    for g in pair():
-        union |= set(support(g))
-    assert monomial_fpt(union) == 1
-    assert monomial_fpt({(2, 0), (0, 3)}) == Fraction(5, 6)
-    assert monomial_fpt({(1, 0, 0)}) == 1
-    assert monomial_fpt({(2, 1)}) == Fraction(1, 2)
 
 
 VARS6 = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -508,7 +482,6 @@ NON_ITERABLE_CALLS = {
     "fvolume_points": lambda: fvolume_points([None], 1),
     "fvolume_estimate": lambda: fvolume_estimate([None], 5, 1),
     "fvolume_estimate of no sequence": lambda: fvolume_estimate(None, 5, 1),
-    "term_ideal_volume_bound": lambda: term_ideal_volume_bound(None),
 }
 
 
@@ -524,11 +497,6 @@ NON_SEQUENCE_CALLS = {
     "in_P_rho_0": (lambda: in_P_rho_0(5, 2), "blocks 5 is not a sequence"),
     "in_P_rho_0 block": (lambda: in_P_rho_0([5], 2), "block 5 is not a sequence"),
     "in_P_rho_inf": (lambda: in_P_rho_inf(5, 2), "blocks 5 is not a sequence"),
-    "multinomial_nonzero_mod_p": (
-        lambda: multinomial_nonzero_mod_p(3, 5, 2), "parts 5 is not a sequence"),
-    "newton_min_diagonal": (lambda: newton_min_diagonal(5), "supports 5 is not a sequence"),
-    "diagonal_position": (lambda: diagonal_position(5), "supports 5 is not a sequence"),
-    "monomial_fpt": (lambda: monomial_fpt(5), "supports 5 is not a sequence"),
     # these two returned True: with no blocks p was never checked
     "in_P_rho_inf of no blocks, p None": (
         lambda: in_P_rho_inf([], None), "base must be an integer >= 2, got None"),

@@ -45,7 +45,7 @@ def test_walk_matches_reference(monkeypatch):
     seen = collections.Counter()
     for _ in range(300):
         matrix, kinds = _walk_matrix(rng)
-        recorder.program = matrix.rows, [1] * matrix.varcount
+        recorder.program = matrix.rows
         listed = vertices(matrix)
         new_log, _ = recorder.take()
         expected = _reference_vertices(matrix)
